@@ -66,7 +66,6 @@ func buildNetwork(cfg Config, traceEvery uint64) (*network.Network, power.Profil
 		Seed:              cfg.Seed,
 		TraceEvery:        traceEvery,
 		ReferenceKernel:   cfg.ReferenceKernel,
-		SoAKernel:         cfg.SoAKernel,
 		Shards:            cfg.Shards,
 		Workers:           cfg.Workers,
 		TelemetryEvery:    cfg.TelemetryEvery,

@@ -14,10 +14,9 @@ import (
 )
 
 // layoutPoints are the big-mesh data-layout measurement points: the
-// 64x64 mesh at low and saturation load (where the SoA hot-state sweep
-// and the gated kernel's virtual wake scan diverge most) and the 256x256
-// mesh at low load (the memory-diet target: per-node footprint decides
-// whether the mesh fits in RAM at all). Loads scale with the bisection
+// 64x64 mesh at low and saturation load and the 256x256 mesh at low load
+// (the memory-diet target: per-node footprint decides whether the mesh
+// fits in RAM at all). Loads scale with the bisection
 // bound, as in the shard benchmarks.
 var layoutPoints = []struct {
 	name          string
@@ -31,7 +30,7 @@ var layoutPoints = []struct {
 	{"256x256", 256, 256, "low", 0.2 * 4.0 / 256, 100},
 }
 
-func layoutNetwork(w, h int, rate float64, soa bool) *network.Network {
+func layoutNetwork(w, h int, rate float64) *network.Network {
 	return network.New(network.Config{
 		Topo:      topology.NewMesh(w, h),
 		Algorithm: routing.XY,
@@ -41,7 +40,6 @@ func layoutNetwork(w, h int, rate float64, soa bool) *network.Network {
 		// at steady state, not while draining.
 		MeasurePackets: 1 << 40,
 		Seed:           1,
-		SoAKernel:      soa,
 	})
 }
 
@@ -54,35 +52,32 @@ func liveHeap() uint64 {
 }
 
 // BenchmarkLayout measures one simulated cycle (Network.Step) of the RoCo
-// router on big meshes, gated kernel vs the struct-of-arrays kernel, and
-// reports the steady-state live-heap footprint per node alongside ns/op.
-// Benchmark names read mesh/load/kernel; scripts/bench.sh distils the
-// speedups and footprint reductions into BENCH_layout.json.
+// router on big meshes under the gated kernel, and reports the
+// steady-state live-heap footprint per node alongside ns/op and
+// allocs/op. Benchmark names read mesh/load; scripts/bench.sh distils
+// them into BENCH_layout.json.
 func BenchmarkLayout(b *testing.B) {
 	for _, p := range layoutPoints {
-		for _, kernel := range []string{"gated", "soa"} {
-			name := fmt.Sprintf("%s/%s/%s", p.name, p.load, kernel)
-			b.Run(name, func(b *testing.B) {
-				before := liveHeap()
-				n := layoutNetwork(p.width, p.height, p.rate, kernel == "soa")
-				for i := 0; i < p.warm; i++ {
-					n.Step()
-				}
-				// Live heap with the warmed network retained, minus the
-				// baseline before construction: the footprint of the mesh
-				// plus its steady-state traffic state. Reported after the
-				// timed loop — ResetTimer discards earlier metrics.
-				after := liveHeap()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					n.Step()
-				}
-				runtime.KeepAlive(n)
-				if after > before {
-					b.ReportMetric(float64(after-before)/float64(p.width*p.height), "bytes/node")
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("%s/%s", p.name, p.load), func(b *testing.B) {
+			before := liveHeap()
+			n := layoutNetwork(p.width, p.height, p.rate)
+			for i := 0; i < p.warm; i++ {
+				n.Step()
+			}
+			// Live heap with the warmed network retained, minus the
+			// baseline before construction: the footprint of the mesh plus
+			// its steady-state traffic state. Reported after the timed
+			// loop — ResetTimer discards earlier metrics.
+			after := liveHeap()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				n.Step()
+			}
+			runtime.KeepAlive(n)
+			if after > before {
+				b.ReportMetric(float64(after-before)/float64(p.width*p.height), "bytes/node")
+			}
+		})
 	}
 }

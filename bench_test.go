@@ -10,11 +10,7 @@ import (
 // per regeneration. cmd/rocobench prints the same rows/series at full
 // harness scale; EXPERIMENTS.md records the shipped numbers.
 
-func benchOptions() Options {
-	o := QuickOptions()
-	o.Parallel = true
-	return o
-}
+func benchOptions() Options { return QuickOptions() }
 
 // BenchmarkTable1VCConfig regenerates the paper's Table 1 (RoCo VC buffer
 // configurations per routing algorithm).

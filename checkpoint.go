@@ -16,6 +16,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"github.com/rocosim/roco/internal/network"
 	"github.com/rocosim/roco/internal/power"
@@ -201,9 +202,8 @@ func (s *Sim) RunCheckpointed(opts CheckpointOptions) (Result, bool, error) {
 
 // Resume restores a simulation from one snapshot frame. cfg must be the
 // configuration that wrote the snapshot — checked by fingerprint before
-// any state is decoded — except for ReferenceKernel, SoAKernel, Shards
-// and Workers, which select execution strategy, not simulation
-// semantics.
+// any state is decoded — except for ReferenceKernel, Shards and Workers,
+// which select execution strategy, not simulation semantics.
 // Returns ErrConfigMismatch, ErrCorruptSnapshot or ErrSnapshotVersion
 // as appropriate.
 func Resume(r io.Reader, cfg Config) (*Sim, error) {
@@ -263,10 +263,14 @@ func ResumeLatest(dir string, cfg Config) (*Sim, error) {
 func fingerprint(cfg Config) uint64 {
 	norm := cfg
 	norm.ReferenceKernel = false
-	norm.SoAKernel = false
 	norm.Shards = 0
 	norm.Workers = 0
+	// The hashed text once also held a since-removed kernel selector,
+	// always normalized to false; writing it back keeps the fingerprints
+	// of snapshots taken before its removal valid.
+	text := strings.Replace(fmt.Sprintf("%#v", norm),
+		"ReferenceKernel:false, ", "ReferenceKernel:false, SoAKernel:false, ", 1)
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%#v", norm)
+	io.WriteString(h, text)
 	return h.Sum64()
 }

@@ -227,9 +227,4 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 	if _, err := Resume(bytes.NewReader(frame.Bytes()), kernels); err != nil {
 		t.Fatalf("sharded resume of a gated snapshot: %v", err)
 	}
-	kernels = cfg
-	kernels.SoAKernel = true
-	if _, err := Resume(bytes.NewReader(frame.Bytes()), kernels); err != nil {
-		t.Fatalf("SoA resume of a gated snapshot: %v", err)
-	}
 }

@@ -7,9 +7,9 @@ package arbiter
 
 import "math/bits"
 
-// maskWidth is the widest request set the bitmap fast path serves; wider
-// arbiters fall back to the slice scan. Every arbiter in the simulator is
-// far narrower (the widest is the generic router's 15-input VA arbiter).
+// maskWidth is the widest arbiter: requests are one uint64 bitmap. Every
+// arbiter in the simulator is far narrower (the widest is the generic
+// router's 15-input VA arbiter).
 const maskWidth = 64
 
 // RoundRobin is an n-input round-robin arbiter. The input granted most
@@ -21,12 +21,20 @@ type RoundRobin struct {
 	next int // index with highest priority in the next round
 }
 
-// NewRoundRobin returns an arbiter over n request lines.
+// NewRoundRobin returns an arbiter over n request lines, 1 <= n <= 64.
 func NewRoundRobin(n int) *RoundRobin {
+	checkWidth(n)
+	return &RoundRobin{n: n}
+}
+
+// checkWidth panics unless 1 <= n <= maskWidth.
+func checkWidth(n int) {
 	if n < 1 {
 		panic("arbiter: round-robin needs at least one input")
 	}
-	return &RoundRobin{n: n}
+	if n > maskWidth {
+		panic("arbiter: round-robin wider than 64 lines")
+	}
 }
 
 // NewRoundRobinSlice returns count independent n-input arbiters backed by
@@ -35,9 +43,7 @@ func NewRoundRobin(n int) *RoundRobin {
 // downstream VC) pair) use it to avoid boxing each 16-byte arbiter in its
 // own heap object on big meshes.
 func NewRoundRobinSlice(count, n int) []RoundRobin {
-	if n < 1 {
-		panic("arbiter: round-robin needs at least one input")
-	}
+	checkWidth(n)
 	s := make([]RoundRobin, count)
 	for i := range s {
 		s[i].n = n
@@ -50,8 +56,8 @@ func (a *RoundRobin) Size() int { return a.n }
 
 // GrantMask returns the index of the winning request line in the bitmap
 // req (bit i asserted means line i requests), or -1 when req is zero. The
-// priority pointer advances past the winner. Requires n <= 64; bits at
-// positions >= n must be zero.
+// priority pointer advances past the winner. Bits at positions >= n must
+// be zero.
 //
 // The winner is found without a scan: rotating req right by next moves the
 // highest-priority line to bit 0, so the first asserted line in round-robin
@@ -72,7 +78,7 @@ func (a *RoundRobin) GrantMask(req uint64) int {
 }
 
 // PeekMask returns the index GrantMask would return without advancing the
-// priority pointer, or -1 when req is zero. Requires n <= 64.
+// priority pointer, or -1 when req is zero.
 func (a *RoundRobin) PeekMask(req uint64) int {
 	return a.peekMask(req)
 }
@@ -82,65 +88,12 @@ func (a *RoundRobin) peekMask(req uint64) int {
 	if req == 0 {
 		return -1
 	}
-	if a.n > maskWidth {
-		panic("arbiter: bitmap grant on an arbiter wider than 64 lines")
-	}
 	r := (req >> uint(a.next)) | (req << (uint(a.n) - uint(a.next)))
 	idx := a.next + bits.TrailingZeros64(r)
 	if idx >= a.n {
 		idx -= a.n
 	}
 	return idx
-}
-
-// Grant returns the index of the winning request, or -1 if no line is
-// asserted. The priority pointer advances past the winner. It is a
-// compatibility shim over GrantMask; wide (> 64 line) arbiters keep the
-// slice scan.
-func (a *RoundRobin) Grant(requests []bool) int {
-	if len(requests) != a.n {
-		panic("arbiter: request vector size mismatch")
-	}
-	if a.n <= maskWidth {
-		return a.GrantMask(packRequests(requests))
-	}
-	for i := 0; i < a.n; i++ {
-		idx := (a.next + i) % a.n
-		if requests[idx] {
-			a.next = (idx + 1) % a.n
-			return idx
-		}
-	}
-	return -1
-}
-
-// Peek returns the index that would win without advancing the priority
-// pointer, or -1 if no line is asserted. Shim over PeekMask, like Grant.
-func (a *RoundRobin) Peek(requests []bool) int {
-	if len(requests) != a.n {
-		panic("arbiter: request vector size mismatch")
-	}
-	if a.n <= maskWidth {
-		return a.PeekMask(packRequests(requests))
-	}
-	for i := 0; i < a.n; i++ {
-		idx := (a.next + i) % a.n
-		if requests[idx] {
-			return idx
-		}
-	}
-	return -1
-}
-
-// packRequests folds a request slice (length <= 64) into a bitmap.
-func packRequests(requests []bool) uint64 {
-	var req uint64
-	for i, r := range requests {
-		if r {
-			req |= 1 << uint(i)
-		}
-	}
-	return req
 }
 
 // Reset restores the priority pointer to input 0.

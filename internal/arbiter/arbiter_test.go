@@ -7,9 +7,9 @@ import (
 
 func TestRoundRobinGrantsAssertedLine(t *testing.T) {
 	a := NewRoundRobin(4)
-	reqs := []bool{false, true, false, true}
+	const req = 0b1010
 	for i := 0; i < 16; i++ {
-		w := a.Grant(reqs)
+		w := a.GrantMask(req)
 		if w != 1 && w != 3 {
 			t.Fatalf("granted unasserted line %d", w)
 		}
@@ -18,17 +18,16 @@ func TestRoundRobinGrantsAssertedLine(t *testing.T) {
 
 func TestRoundRobinNoRequest(t *testing.T) {
 	a := NewRoundRobin(3)
-	if w := a.Grant([]bool{false, false, false}); w != -1 {
-		t.Fatalf("empty request vector granted %d", w)
+	if w := a.GrantMask(0); w != -1 {
+		t.Fatalf("empty request bitmap granted %d", w)
 	}
 }
 
 func TestRoundRobinFairness(t *testing.T) {
 	a := NewRoundRobin(4)
-	all := []bool{true, true, true, true}
 	counts := make([]int, 4)
 	for i := 0; i < 400; i++ {
-		counts[a.Grant(all)]++
+		counts[a.GrantMask(0b1111)]++
 	}
 	for i, c := range counts {
 		if c != 100 {
@@ -43,13 +42,9 @@ func TestRoundRobinNoStarvation(t *testing.T) {
 	f := func(pattern []uint8) bool {
 		a := NewRoundRobin(5)
 		waiting := 0
-		for i := 0; i < len(pattern); i++ {
-			reqs := make([]bool, 5)
-			reqs[4] = true // our line
-			for j := 0; j < 4; j++ {
-				reqs[j] = pattern[i]&(1<<j) != 0
-			}
-			if a.Grant(reqs) == 4 {
+		for _, p := range pattern {
+			req := uint64(p&0b1111) | 1<<4 // line 4 is ours
+			if a.GrantMask(req) == 4 {
 				waiting = 0
 			} else {
 				waiting++
@@ -67,21 +62,27 @@ func TestRoundRobinNoStarvation(t *testing.T) {
 
 func TestRoundRobinPeekDoesNotAdvance(t *testing.T) {
 	a := NewRoundRobin(3)
-	reqs := []bool{true, true, true}
-	p := a.Peek(reqs)
-	if g := a.Grant(reqs); g != p {
-		t.Errorf("Peek %d then Grant %d", p, g)
+	p := a.PeekMask(0b111)
+	if g := a.GrantMask(0b111); g != p {
+		t.Errorf("PeekMask %d then GrantMask %d", p, g)
 	}
 }
 
 func TestRoundRobinSizeMismatchPanics(t *testing.T) {
-	a := NewRoundRobin(3)
-	defer func() {
-		if recover() == nil {
-			t.Error("size mismatch should panic")
-		}
-	}()
-	a.Grant([]bool{true})
+	for _, build := range []func(){
+		func() { NewRoundRobin(0) },
+		func() { NewRoundRobin(maskWidth + 1) },
+		func() { NewRoundRobinSlice(2, maskWidth+1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("an arbiter width outside [1, 64] should panic")
+				}
+			}()
+			build()
+		}()
+	}
 }
 
 // allPatterns enumerates every 2x2 request matrix.

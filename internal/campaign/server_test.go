@@ -253,3 +253,25 @@ func TestServerErrors(t *testing.T) {
 	}
 	rr.Body.Close()
 }
+
+// TestServerRejectsRemovedKernelField pins the strict spec decoder: a
+// job that still selects the removed SoAKernel knob is refused with 400
+// and an error naming the field, instead of silently running on a kernel
+// the client did not ask for.
+func TestServerRejectsRemovedKernelField(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	body := `{"config": {
+		"Width": 4, "Height": 4, "Router": "roco", "InjectionRate": 0.2,
+		"WarmupPackets": 50, "MeasurePackets": 400, "Seed": 3,
+		"SoAKernel": true
+	}}`
+	resp := postJSON(t, ts.URL+"/jobs", body)
+	defer resp.Body.Close()
+	b, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", resp.StatusCode, b)
+	}
+	if !strings.Contains(string(b), "SoAKernel") {
+		t.Errorf("error body does not name the field: %s", b)
+	}
+}

@@ -31,6 +31,7 @@
 package network
 
 import (
+	"math/bits"
 	"sync/atomic"
 
 	"github.com/rocosim/roco/internal/flit"
@@ -152,30 +153,46 @@ func (n *Network) tickColors(t int64) {
 }
 
 // tickShardColor ticks one shard's routers of one color, in ascending id
-// order. In the gated kernel only active routers tick (settling their
-// skipped cycles first) and the ticked ids are logged for the wake scan;
-// the reference kernel ticks everything.
+// order. The reference kernel ticks everything. The gated kernel sweeps
+// the words of activeBits∧colorMask clipped to the shard's contiguous id
+// range, settling each active router's skipped cycles before its tick and
+// logging it for the wake scan. Set bits come out in ascending id order —
+// exactly the order sched[c][s] lists — and activeBits is read-only during
+// the tick phases (wakes for the next cycle go to nextActiveBits on the
+// coordinator), so concurrent shard sweeps of one color never race.
 func (n *Network) tickShardColor(c, s int, t int64) {
-	ids := n.sched[c][s]
 	if n.cfg.ReferenceKernel {
-		for _, id := range ids {
+		for _, id := range n.sched[c][s] {
 			n.routers[id].Tick(t)
 		}
 		return
 	}
-	if n.activeBits != nil {
-		n.tickShardColorSoA(c, s, t)
+	lo, hi := n.shardLo[s], n.shardLo[s+1]
+	if lo >= hi {
 		return
 	}
+	mask := n.colorMask[c]
+	act := n.activeBits
 	ticked := n.shardTicked[s]
-	for _, id := range ids {
-		if !n.active[id] {
-			continue
+	loW, hiW := lo>>6, (hi-1)>>6
+	for w := loW; w <= hiW; w++ {
+		word := act[w] & mask[w]
+		if w == loW {
+			word &^= (1 << uint(lo&63)) - 1
 		}
-		n.settleTo(id, t-1)
-		n.routers[id].Tick(t)
-		n.lastRun[id] = t
-		ticked = append(ticked, id)
+		if w == hiW {
+			if rem := hi & 63; rem != 0 {
+				word &= (1 << uint(rem)) - 1
+			}
+		}
+		for word != 0 {
+			id := w<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			n.settleTo(id, t-1)
+			n.routers[id].Tick(t)
+			n.lastRun[id] = t
+			ticked = append(ticked, id)
+		}
 	}
 	n.shardTicked[s] = ticked
 }

@@ -19,11 +19,10 @@ type RouteEngine struct {
 	// to the neighbor handshake state (fault capability and congestion)
 	// that adaptive routing consults.
 	routerAt func(id int) Router
-	// arena, when enabled, slab-allocates the channels of every router
-	// built against this engine (the SoA kernel's memory diet). The
-	// engine carries it because it is the one object the network hands
-	// every router builder before construction.
-	arena *VCArena
+	// arena slab-allocates the channels of every router built against
+	// this engine. The engine carries it because it is the one object the
+	// network hands every router builder before construction.
+	arena VCArena
 }
 
 // NewRouteEngine builds an engine over the given topology and algorithm.
@@ -33,21 +32,10 @@ func NewRouteEngine(topo topology.Topology, alg routing.Algorithm, routerAt func
 	return &RouteEngine{topo: topo, alg: alg, routerAt: routerAt}
 }
 
-// EnableVCArena makes NewVC slab-allocate lazy channels; the network
-// enables it before running the router builders when the SoA kernel is
-// selected.
-func (e *RouteEngine) EnableVCArena() { e.arena = &VCArena{} }
-
-// NewVC builds one virtual channel for a router under construction:
-// an eager standalone channel normally, a lazy slab-resident one when
-// the arena is enabled. Routers must allocate their channels through
-// this so the kernel's layout choice reaches every router kind.
-func (e *RouteEngine) NewVC(index, depth int) *VC {
-	if e.arena == nil {
-		return NewVC(index, depth)
-	}
-	return e.arena.NewVC(index, depth)
-}
+// NewVC builds one virtual channel for a router under construction: an
+// idle lazy channel carved from the engine's slab arena. Routers allocate
+// their channels through this so every router kind shares the layout.
+func (e *RouteEngine) NewVC(index, depth int) *VC { return e.arena.NewVC(index, depth) }
 
 // Algorithm returns the engine's routing discipline.
 func (e *RouteEngine) Algorithm() routing.Algorithm { return e.alg }

@@ -100,32 +100,34 @@ type VC struct {
 	abit  uint64
 }
 
-// NewVC returns an idle channel of the given index and depth.
+// NewVC returns an idle standalone channel of the given index and depth.
+// Routers allocate theirs through RouteEngine.NewVC, which carves the
+// same idle channel out of a VCArena slab.
 func NewVC(index, depth int) *VC {
+	v := idleVC(index, depth)
+	return &v
+}
+
+// idleVC is the one channel constructor: an idle, lazy channel whose flit
+// queue and packet-state arrays stay nil until the first flit arrives.
+func idleVC(index, depth int) VC {
 	if depth < 1 {
 		panic("router: VC depth must be >= 1")
 	}
-	return &VC{
-		Index:       index,
-		Depth:       depth,
-		claimFeeder: topology.Invalid,
-		states:      make([]pktState, 0, MaxPacketsPerChannel),
-		queue:       make([]*flit.Flit, 0, depth),
-	}
+	return VC{Index: index, Depth: depth, claimFeeder: topology.Invalid}
 }
 
-// lazyStateCap is the initial packet-state capacity of a lazily built
-// (arena) channel. Most channels hold one or two resident packets at a
-// time; starting small and letting append grow toward
-// MaxPacketsPerChannel (amortized, bounded) cuts the per-node footprint
-// on big meshes without affecting behavior — capacity is never observable.
+// lazyStateCap is the initial packet-state capacity of a channel. Most
+// channels hold one or two resident packets at a time; starting small and
+// letting append grow toward MaxPacketsPerChannel (amortized, bounded)
+// cuts the per-node footprint on big meshes without affecting behavior —
+// capacity is never observable.
 const lazyStateCap = 2
 
-// ensureBuffers allocates the queue and packet-state backing arrays of a
-// lazily built (arena) channel on first use. The flit queue is allocated
-// at full depth (it fills within a few cycles of any activity); the
-// packet-state array starts at lazyStateCap and grows on demand. Eagerly
-// built channels (NewVC) have non-nil backing from birth and skip this.
+// ensureBuffers allocates a channel's queue and packet-state backing
+// arrays on first use. The flit queue is allocated at full depth (it
+// fills within a few cycles of any activity); the packet-state array
+// starts at lazyStateCap and grows on demand.
 func (v *VC) ensureBuffers() {
 	if v.queue == nil {
 		v.queue = make([]*flit.Flit, 0, v.Depth)

@@ -19,10 +19,9 @@
 #     per-load overhead percentage of enabling telemetry.
 #
 #   sh scripts/bench.sh layout [benchtime]    — the data-layout benchmarks
-#     (gated vs struct-of-arrays kernel, RoCo router, 64x64 and 256x256
-#     meshes), distilled into BENCH_layout.json: ns/op and steady-state
-#     live-heap bytes/node per point, plus the SoA speedup and per-node
-#     footprint reduction.
+#     (gated kernel, RoCo router, 64x64 and 256x256 meshes), distilled
+#     into BENCH_layout.json: ns/op, allocs/op and steady-state live-heap
+#     bytes/node per point.
 #
 #   sh scripts/bench.sh alloc [benchtime]     — the allocation-stage
 #     benchmarks (gated kernel, three router kinds, 8x8 mesh at and beyond
@@ -157,17 +156,18 @@ if [ "$MODE" = "layout" ]; then
 
 	awk -v benchtime="$BENCHTIME" '
 	/^BenchmarkLayout\// {
-	    # BenchmarkLayout/mesh/load/kernel-P  iters  <value unit>...
+	    # BenchmarkLayout/mesh/load-P  iters  <value unit>...
 	    # The bytes/node custom metric shifts column positions, so metrics
 	    # are parsed as (value, unit) pairs rather than by field index.
 	    name = $1
 	    sub(/^BenchmarkLayout\//, "", name)
 	    sub(/-[0-9]+$/, "", name)
 	    split(name, part, "/")
-	    mesh = part[1]; load = part[2]; kernel = part[3]
+	    mesh = part[1]; load = part[2]
 	    for (i = 3; i < NF; i += 2) {
-	        if ($(i+1) == "ns/op") ns[mesh, load, kernel] = $i
-	        if ($(i+1) == "bytes/node") bpn[mesh, load, kernel] = $i
+	        if ($(i+1) == "ns/op") ns[mesh, load] = $i
+	        if ($(i+1) == "allocs/op") al[mesh, load] = $i
+	        if ($(i+1) == "bytes/node") bpn[mesh, load] = $i
 	    }
 	    if (!((mesh, load) in seenp)) { pm[++np] = mesh; pl[np] = load; seenp[mesh, load] = 1 }
 	}
@@ -183,13 +183,8 @@ if [ "$MODE" = "layout" ]; then
 	            prevmesh = m
 	            first = 1
 	        }
-	        printf "%s\n      \"%s\": {", (first ? "" : ","), l
+	        printf "%s\n      \"%s\": {\"ns_op\": %s, \"allocs_op\": %s, \"bytes_node\": %s}", (first ? "" : ","), l, ns[m,l], al[m,l], bpn[m,l]
 	        first = 0
-	        printf "\n        \"gated\": {\"ns_op\": %s, \"bytes_node\": %s},", ns[m,l,"gated"], bpn[m,l,"gated"]
-	        printf "\n        \"soa\":   {\"ns_op\": %s, \"bytes_node\": %s},", ns[m,l,"soa"], bpn[m,l,"soa"]
-	        printf "\n        \"soa_speedup\": %.2f,", ns[m,l,"gated"] / ns[m,l,"soa"]
-	        printf "\n        \"bytes_node_reduction_pct\": %.1f", (1 - bpn[m,l,"soa"] / bpn[m,l,"gated"]) * 100
-	        printf "\n      }"
 	    }
 	    printf "\n    }\n  }\n}\n"
 	}' "$RAW" > "$OUT"
