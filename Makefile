@@ -28,10 +28,10 @@ doccheck:
 # Kernel benchmarks (gated vs reference, three router kinds, three
 # loads), shard-scaling benchmarks (RoCo, three mesh sizes, 1-8 shards),
 # the telemetry-overhead benchmarks (epoch sampling off vs on), the
-# data-layout benchmarks (gated vs struct-of-arrays kernel on big
-# meshes), the allocation-stage benchmarks (three router kinds at
-# and beyond saturation), and the chiplet-topology benchmarks (flat die
-# vs chiplet seams); writes BENCH_kernel.json, BENCH_shard.json,
+# data-layout benchmarks (the gated kernel's step, allocations and
+# footprint on big meshes), the allocation-stage benchmarks (three
+# router kinds at and beyond saturation), and the chiplet-topology
+# benchmarks (flat die vs chiplet seams); writes BENCH_kernel.json, BENCH_shard.json,
 # BENCH_telemetry.json, BENCH_layout.json, BENCH_alloc.json and
 # BENCH_chiplet.json, with raw output under bench/out/.
 bench:

@@ -47,8 +47,8 @@ func buildNetwork(cfg Config, traceEvery uint64) (*network.Network, power.Profil
 		Topo:       topo,
 		D2DLatency: d2dLat,
 		D2DGap:     d2dGap,
-		Algorithm: cfg.Algorithm.internal(),
-		Build:     build,
+		Algorithm:  cfg.Algorithm.internal(),
+		Build:      build,
 		Traffic: traffic.Config{
 			Pattern:         cfg.Traffic.internal(),
 			Rate:            cfg.InjectionRate,
