@@ -261,19 +261,20 @@ func TestStepZeroAllocsWhenIdle(t *testing.T) {
 }
 
 // TestStepBoundedAllocsUnderLoad asserts the steady-state Step of a
-// loaded network stays (amortised) allocation-free: flits come from the
-// pool, arbitration scratch lives on the router structs, and the
-// worklists are reused. A small budget absorbs rare slice regrowth.
+// loaded 8x8 generic network is strictly allocation-free once warm:
+// flits come from the pool, arbitration scratch lives on the router
+// structs, the worklists are reused, and every lazy channel buffer the
+// routers touch was allocated during warm-up.
 func TestStepBoundedAllocsUnderLoad(t *testing.T) {
 	cfg := kernelConfig(genericBuilder, 3)
 	cfg.MeasurePackets = 1_000_000 // never stop generating during the probe
 	n := New(cfg)
-	for i := 0; i < 2000; i++ { // warm pools and worklists to steady state
+	for i := 0; i < 2000; i++ { // warm pools, worklists, and lazy VC buffers
 		n.Step()
 	}
 	allocs := testing.AllocsPerRun(500, func() { n.Step() })
-	if allocs > 1 {
-		t.Fatalf("loaded Step allocates %v objects per cycle, want <= 1 amortised", allocs)
+	if allocs != 0 {
+		t.Fatalf("loaded Step allocates %v objects per cycle, want 0", allocs)
 	}
 }
 

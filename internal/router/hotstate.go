@@ -1,6 +1,10 @@
 package router
 
-import "fmt"
+import (
+	"fmt"
+
+	"github.com/rocosim/roco/internal/topology"
+)
 
 // HotState is a struct-of-arrays mirror of the per-channel state the
 // gated kernel's hot loops consult every cycle: buffered-flit counts and
@@ -126,15 +130,19 @@ type VCArena struct {
 // waste at most one slab's tail.
 const arenaChunk = 1024
 
-// NewVC carves an idle lazy channel out of the arena.
+// NewVC carves an idle lazy channel out of the arena; its flit queue and
+// packet-state arrays stay nil until the first flit arrives. It is the
+// one channel constructor.
 func (a *VCArena) NewVC(index, depth int) *VC {
-	vc := idleVC(index, depth)
+	if depth < 1 {
+		panic("router: VC depth must be >= 1")
+	}
 	if a.used == len(a.slab) {
 		a.slab = make([]VC, arenaChunk)
 		a.used = 0
 	}
 	v := &a.slab[a.used]
 	a.used++
-	*v = vc
+	*v = VC{Index: index, Depth: depth, claimFeeder: topology.Invalid}
 	return v
 }

@@ -93,7 +93,7 @@ func TestBitsetForEachIn(t *testing.T) {
 func bindTestRouters(t *testing.T) (*HotState, []*VC) {
 	t.Helper()
 	hs := NewHotState(2)
-	vcs := []*VC{NewVC(0, 4), NewVC(1, 4), NewVC(0, 4), NewVC(1, 4)}
+	vcs := []*VC{newVC(0, 4), newVC(1, 4), newVC(0, 4), newVC(1, 4)}
 	hs.BindRouter(0, vcs[:2])
 	hs.BindRouter(1, vcs[2:])
 	if hs.Routers() != 2 || hs.Slots() != 4 {
@@ -239,7 +239,7 @@ func TestHotStateBindPanics(t *testing.T) {
 	})
 	t.Run("double bind", func(t *testing.T) {
 		hs := NewHotState(2)
-		vc := NewVC(0, 2)
+		vc := newVC(0, 2)
 		hs.BindRouter(0, []*VC{vc})
 		defer func() {
 			if recover() == nil {

@@ -100,23 +100,6 @@ type VC struct {
 	abit  uint64
 }
 
-// NewVC returns an idle standalone channel of the given index and depth.
-// Routers allocate theirs through RouteEngine.NewVC, which carves the
-// same idle channel out of a VCArena slab.
-func NewVC(index, depth int) *VC {
-	v := idleVC(index, depth)
-	return &v
-}
-
-// idleVC is the one channel constructor: an idle, lazy channel whose flit
-// queue and packet-state arrays stay nil until the first flit arrives.
-func idleVC(index, depth int) VC {
-	if depth < 1 {
-		panic("router: VC depth must be >= 1")
-	}
-	return VC{Index: index, Depth: depth, claimFeeder: topology.Invalid}
-}
-
 // lazyStateCap is the initial packet-state capacity of a channel. Most
 // channels hold one or two resident packets at a time; starting small and
 // letting append grow toward MaxPacketsPerChannel (amortized, bounded)

@@ -8,6 +8,13 @@ import (
 	"github.com/rocosim/roco/internal/topology"
 )
 
+// testArena backs the standalone channels of the unit tests; routers
+// carve theirs through RouteEngine.NewVC.
+var testArena VCArena
+
+// newVC returns an idle lazy channel from testArena.
+func newVC(index, depth int) *VC { return testArena.NewVC(index, depth) }
+
 func makePacketFlits(id uint64, n int, out topology.Direction) []*flit.Flit {
 	fl := flit.Packet{ID: id, Src: 0, Dst: 1, Flits: n}.Segment()
 	for _, f := range fl {
@@ -17,7 +24,7 @@ func makePacketFlits(id uint64, n int, out topology.Direction) []*flit.Flit {
 }
 
 func TestVCSinglePacketLifecycle(t *testing.T) {
-	vc := NewVC(3, 5)
+	vc := newVC(3, 5)
 	if vc.Active() || !vc.Idle() {
 		t.Fatal("new VC should be idle")
 	}
@@ -55,7 +62,7 @@ func TestVCSinglePacketLifecycle(t *testing.T) {
 }
 
 func TestVCBackToBackSameFeeder(t *testing.T) {
-	vc := NewVC(0, 8)
+	vc := newVC(0, 8)
 	vc.Claim(topology.South)
 	if !vc.Claimable(topology.South) {
 		t.Fatal("same-feeder second claim should be allowed")
@@ -94,7 +101,7 @@ func TestVCBackToBackSameFeeder(t *testing.T) {
 }
 
 func TestVCClaimWindowBound(t *testing.T) {
-	vc := NewVC(0, 4)
+	vc := newVC(0, 4)
 	for i := 0; i < MaxPacketsPerChannel; i++ {
 		if !vc.Claimable(topology.East) {
 			t.Fatalf("claim %d should be allowed", i)
@@ -107,7 +114,7 @@ func TestVCClaimWindowBound(t *testing.T) {
 }
 
 func TestVCHeadWithoutClaimPanics(t *testing.T) {
-	vc := NewVC(0, 4)
+	vc := newVC(0, 4)
 	defer func() {
 		if recover() == nil {
 			t.Error("head push without claim should panic")
@@ -117,7 +124,7 @@ func TestVCHeadWithoutClaimPanics(t *testing.T) {
 }
 
 func TestVCOverflowPanics(t *testing.T) {
-	vc := NewVC(0, 1)
+	vc := newVC(0, 1)
 	vc.Claim(topology.East)
 	fl := makePacketFlits(1, 2, topology.East)
 	vc.PushFrom(fl[0], topology.East)
@@ -130,7 +137,7 @@ func TestVCOverflowPanics(t *testing.T) {
 }
 
 func TestVCFaultyCapacityAndPenalty(t *testing.T) {
-	vc := NewVC(0, 5)
+	vc := newVC(0, 5)
 	vc.Faulty = true
 	vc.FaultPenalty = 2
 	if vc.Capacity() != 1 {
@@ -146,7 +153,7 @@ func TestVCFaultyCapacityAndPenalty(t *testing.T) {
 }
 
 func TestVCReadyAtGatesSwitch(t *testing.T) {
-	vc := NewVC(0, 5)
+	vc := newVC(0, 5)
 	vc.Claim(topology.East)
 	f := makePacketFlits(1, 1, topology.East)[0]
 	f.ReadyAt = 5
@@ -229,7 +236,7 @@ func TestVCStateMachineProperty(t *testing.T) {
 	// invariants: flit order preserved, states track packets, claims never
 	// leak.
 	f := func(sizes []uint8) bool {
-		vc := NewVC(0, 64)
+		vc := newVC(0, 64)
 		var want []uint64
 		id := uint64(1)
 		admitted := 0
@@ -268,7 +275,7 @@ func TestVCStateMachineProperty(t *testing.T) {
 func TestVCPurgeClaims(t *testing.T) {
 	// An unbacked claim fed over a severed link is released, making the
 	// channel claimable from any side again.
-	vc := NewVC(0, 8)
+	vc := newVC(0, 8)
 	vc.Claim(topology.West)
 	if vc.Claimable(topology.North) {
 		t.Fatal("claimed VC must reject other feeders")
@@ -281,7 +288,7 @@ func TestVCPurgeClaims(t *testing.T) {
 	// A claim backed by an admitted fragment survives the purge (the
 	// fragment retires it through Pop/AbortFront); only the excess claim
 	// of a head that never arrived is released.
-	vc = NewVC(0, 8)
+	vc = newVC(0, 8)
 	vc.Claim(topology.West)
 	vc.Claim(topology.West)
 	for _, f := range makePacketFlits(1, 2, topology.East) {
@@ -298,7 +305,7 @@ func TestVCPurgeClaims(t *testing.T) {
 	}
 
 	// A purge for a different link is a no-op.
-	vc = NewVC(0, 8)
+	vc = newVC(0, 8)
 	vc.Claim(topology.South)
 	vc.PurgeClaims(topology.West)
 	if vc.Claimable(topology.North) {
