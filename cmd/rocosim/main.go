@@ -251,6 +251,13 @@ func main() {
 			}
 		}
 	}
+	// Flag parsing catches malformed values; Validate catches combinations
+	// the simulator cannot run (a router on a topology it does not
+	// support, a die-to-die fault on a side with no interface), which
+	// would otherwise panic inside the run.
+	if err := cfg.Validate(); err != nil {
+		fatalf("%v", err)
+	}
 	if !*jsonOut {
 		for _, f := range cfg.Faults {
 			fmt.Printf("fault: %s\n", describeFault(f))

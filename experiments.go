@@ -206,11 +206,12 @@ type LatencySweep struct {
 
 // RunLatencySweep measures one latency-versus-load panel.
 func RunLatencySweep(opts Options, tp TrafficPattern, alg Algorithm, rates []float64) LatencySweep {
-	sweep := LatencySweep{
-		Traffic: tp, Algorithm: alg, Rates: rates,
-		Latency:   map[RouterKind][]float64{},
-		Saturated: map[RouterKind][]bool{},
-	}
+	return latencySweep(tp, alg, rates, runAll(opts, latencyConfigs(opts, tp, alg, rates)))
+}
+
+// latencyConfigs lists one panel's runs, router kinds major and rates
+// minor.
+func latencyConfigs(opts Options, tp TrafficPattern, alg Algorithm, rates []float64) []Config {
 	var cfgs []Config
 	for _, k := range RouterKinds {
 		for _, rate := range rates {
@@ -222,7 +223,17 @@ func RunLatencySweep(opts Options, tp TrafficPattern, alg Algorithm, rates []flo
 			cfgs = append(cfgs, cfg)
 		}
 	}
-	results := runAll(opts, cfgs)
+	return cfgs
+}
+
+// latencySweep assembles a panel from the results of its latencyConfigs
+// runs, in the same order.
+func latencySweep(tp TrafficPattern, alg Algorithm, rates []float64, results []Result) LatencySweep {
+	sweep := LatencySweep{
+		Traffic: tp, Algorithm: alg, Rates: rates,
+		Latency:   map[RouterKind][]float64{},
+		Saturated: map[RouterKind][]bool{},
+	}
 	i := 0
 	for _, k := range RouterKinds {
 		sweep.Latency[k] = make([]float64, len(rates))
@@ -291,9 +302,17 @@ func Figure10(opts Options) []LatencySweep { return latencyFigure(opts, Transpos
 func FigureMPEG(opts Options) []LatencySweep { return latencyFigure(opts, MPEG2) }
 
 func latencyFigure(opts Options, tp TrafficPattern) []LatencySweep {
-	out := make([]LatencySweep, 0, len(Algorithms))
+	// All panels' runs go to the pool at once, so no panel waits on
+	// another's slowest run before its own start.
+	var cfgs []Config
 	for _, alg := range Algorithms {
-		out = append(out, RunLatencySweep(opts, tp, alg, LatencyRates))
+		cfgs = append(cfgs, latencyConfigs(opts, tp, alg, LatencyRates)...)
+	}
+	results := runAll(opts, cfgs)
+	per := len(cfgs) / len(Algorithms)
+	out := make([]LatencySweep, 0, len(Algorithms))
+	for i, alg := range Algorithms {
+		out = append(out, latencySweep(tp, alg, LatencyRates, results[i*per:(i+1)*per]))
 	}
 	return out
 }

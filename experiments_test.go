@@ -1,6 +1,7 @@
 package roco
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 )
@@ -63,5 +64,29 @@ func TestRunAllSharedBudget(t *testing.T) {
 	got := runAll(Options{Workers: 4}, mkCfgs(4))
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("sharded runs under a shared worker budget diverged from serial unsharded runs")
+	}
+}
+
+// TestLatencyFigurePoolsAllPanels pins that submitting every panel's runs
+// to one pool changes nothing: a latency figure equals one
+// RunLatencySweep per algorithm, value for value and in its rendered
+// output byte for byte.
+func TestLatencyFigurePoolsAllPanels(t *testing.T) {
+	opts := Options{Width: 4, Height: 4, Warmup: 50, Measure: 300, Seed: 3, Workers: 2}
+	got := Figure8(opts)
+	if len(got) != len(Algorithms) {
+		t.Fatalf("Figure8 returned %d panels, want %d", len(got), len(Algorithms))
+	}
+	var gotOut, wantOut bytes.Buffer
+	for i, alg := range Algorithms {
+		want := RunLatencySweep(opts, Uniform, alg, LatencyRates)
+		if !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("panel %d (%s) differs from its own sweep", i, alg)
+		}
+		got[i].Render(&gotOut)
+		want.Render(&wantOut)
+	}
+	if !bytes.Equal(gotOut.Bytes(), wantOut.Bytes()) {
+		t.Fatal("rendered figure differs from the per-panel sweeps")
 	}
 }

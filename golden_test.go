@@ -70,10 +70,7 @@ var goldenCases = []goldenCase{
 // digests catch a change that moves every kernel's results the same way.
 func TestGoldenDigests(t *testing.T) {
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "rocosim")
-	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/rocosim").CombinedOutput(); err != nil {
-		t.Fatalf("building rocosim: %v\n%s", err, out)
-	}
+	bin := buildRocosim(t, dir)
 	want := readGolden(t)
 	got := make(map[string]string, len(goldenCases))
 	for _, gc := range goldenCases {
@@ -103,6 +100,40 @@ func TestGoldenDigests(t *testing.T) {
 	}
 	if len(want) != len(goldenCases) {
 		t.Errorf("%s holds %d digests for %d cases", goldenFile, len(want), len(goldenCases))
+	}
+}
+
+// buildRocosim builds the rocosim binary into dir and returns its path.
+func buildRocosim(t *testing.T, dir string) string {
+	t.Helper()
+	bin := filepath.Join(dir, "rocosim")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/rocosim").CombinedOutput(); err != nil {
+		t.Fatalf("building rocosim: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// TestRocosimRejectsInvalidConfig pins that flag combinations the
+// simulator cannot run end in rocosim's one-line error and exit status 2,
+// not in a Go panic and stack trace from inside the run.
+func TestRocosimRejectsInvalidConfig(t *testing.T) {
+	bin := buildRocosim(t, t.TempDir())
+	for _, args := range []string{
+		"-router roco -topology torus",
+		"-topology multichipmesh -chips 2x2 -chip-size 4x4 -d2d-fault 5:south",
+	} {
+		cmd := exec.Command(bin, strings.Fields(args)...)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		code := -1
+		if ee, ok := err.(*exec.ExitError); ok {
+			code = ee.ExitCode()
+		}
+		msg := stderr.String()
+		if code != 2 || !strings.HasPrefix(msg, "rocosim:") || strings.Contains(msg, "panic:") {
+			t.Errorf("rocosim %s: exit %d (%v), want 2 with a rocosim: line; stderr:\n%s", args, code, err, msg)
+		}
 	}
 }
 

@@ -41,9 +41,6 @@ type Router struct {
 	// separable output stage (one 2:1 arbiter per output, no mirrored
 	// global decision). Ablation only: quantifies what the mirror buys.
 	disableMirror bool
-	// noFastPath disables Tick's dormant-router early return (reference
-	// kernel mode).
-	noFastPath bool
 
 	injVC int
 
@@ -105,7 +102,7 @@ func New(id int, engine *router.RouteEngine) *Router {
 		}
 		r.mirror[m] = arbiter.NewMirror()
 	}
-	r.InitRecovery(id, r.vcs[:], r.grantTarget, r.abortCleanup)
+	r.InitRecovery(id, r.vcs[:], r.grantTarget, r.abortCleanup, r.drained)
 	r.SetFeederProbe(func(d topology.Direction, pkt uint64) bool {
 		return d.IsCardinal() && r.in[d] != nil && r.in[d].Flit.Carries(pkt)
 	})
@@ -323,28 +320,6 @@ func (r *Router) Quiescent() bool {
 	return true
 }
 
-// Idle reports whether a tick with empty input pipes would leave the
-// router bit-identical to SkipCycles replaying it: every VC is dormant —
-// no flits buffered, no packet state resident — so sweeping, draining,
-// reaping, VA and SA all have nothing to do. Bare upstream claims do not
-// block idleness (no tick phase acts on a claim alone, and the dead-grant
-// hunt only reads channels with resident packet state). The only state an
-// idle tick moves — the cycle counter and each live module's mirror
-// primary toggle — is what SkipCycles replays.
-func (r *Router) Idle() bool {
-	for _, vc := range r.vcs {
-		if !vc.Dormant() {
-			return false
-		}
-	}
-	return true
-}
-
-// DisableTickFastPath makes Tick run every phase even when the router is
-// Idle; the reference kernel sets it so the ungated baseline executes the
-// full tick-everything cost.
-func (r *Router) DisableTickFastPath() { r.noFastPath = true }
-
 // SkipCycles replays n idle ticks in O(1). An idle RoCo tick always counts
 // a cycle (blocked modules do not stop the clock), clears the vaBusy
 // latches, and runs each unblocked module's Mirror allocation round with
@@ -482,7 +457,7 @@ func (r *Router) Tick(cycle int64) {
 	// phases below reduce to the idle tick that SkipCycles replays —
 	// clear the vaBusy latches and toggle each unblocked module's mirror
 	// primary (the cycle counter already moved above).
-	if !r.noFastPath && r.Idle() {
+	if r.SkipTick() {
 		r.vaBusy[Row], r.vaBusy[Col] = false, false
 		if !r.disableMirror {
 			for m := Module(0); m < numModules; m++ {
@@ -497,11 +472,7 @@ func (r *Router) Tick(cycle int64) {
 	// Fault recovery: react to broken packets and dead grants (the RoCo
 	// fault-handshake hardware), drain condemned wormholes, retire orphaned
 	// fragments.
-	if r.noFastPath || !r.RecoveryQuiet() {
-		r.SweepBroken(cycle, true)
-		r.drainDoomed(cycle)
-		r.ReapOrphans(cycle)
-	}
+	r.Recover(cycle, true)
 	r.vaBusy[Row], r.vaBusy[Col] = false, false
 	r.allocateVCs(cycle)
 	for m := Module(0); m < numModules; m++ {
@@ -509,27 +480,12 @@ func (r *Router) Tick(cycle int64) {
 	}
 }
 
-// drainDoomed discards flits of packets whose route is permanently
-// fault-blocked, returning their credits upstream so the rest of the
-// network keeps flowing.
-func (r *Router) drainDoomed(cycle int64) {
-	for _, vc := range r.vcs {
-		for {
-			feeder := vc.Feeder()
-			f := vc.DrainDoomed()
-			if f == nil {
-				break
-			}
-			r.NoteStragglerDrain(vc)
-			r.act.DroppedFlits++
-			r.DropFlit(f, cycle, trace.DropInFlight)
-			if feeder.IsCardinal() && r.in[feeder] != nil {
-				r.in[feeder].Credit.Write(vc.Index)
-			}
-			if f.Type.IsTail() {
-				break
-			}
-		}
+// drained counts a doomed flit the recovery drain discarded and returns
+// its credit upstream.
+func (r *Router) drained(vc *router.VC, feeder topology.Direction) {
+	r.act.DroppedFlits++
+	if feeder.IsCardinal() && r.in[feeder] != nil {
+		r.in[feeder].Credit.Write(vc.Index)
 	}
 }
 
@@ -693,6 +649,31 @@ func (r *Router) allocateSwitch(m Module, cycle int64) {
 	var winner [2][2]int
 	base := int(m) * 2 * VCsPerSet
 
+	// Failed speculation: the parallel SA requests were issued and
+	// arbitrated (energy), but a speculative grant has lower priority than
+	// any real request and never displaces one (Peh-Dally speculation), so
+	// they cannot affect the matching — they are charged as SAOps only.
+	var specByDir [2]uint64
+	for mm := (r.vaFailed >> uint(base)) & modVCMask; mm != 0; mm &= mm - 1 {
+		i := bits.TrailingZeros64(mm)
+		if op := r.vcs[base+i].OutPort(); op.IsCardinal() {
+			specByDir[DirSlot(op)] |= 1 << uint(i)
+		}
+	}
+
+	saReady := (r.Alloc().SAReady() >> uint(base)) & modVCMask
+	if saReady == 0 {
+		// No routed front flit: nothing contends, requests or wins. An
+		// empty round still charges the failed speculation and toggles
+		// the mirror primary; every other arbiter holds still on a zero
+		// request mask.
+		r.act.SAOps += int64(bits.OnesCount64(specByDir[0]) + bits.OnesCount64(specByDir[1]))
+		if !r.disableMirror {
+			r.mirror[m].SkipRounds(1)
+		}
+		return
+	}
+
 	// Figure 3 contention: a crossbar input port requests a direction when
 	// it holds a switch-ready flit for it; the request is contended when
 	// the module's other port wants the same direction this cycle. The
@@ -702,7 +683,7 @@ func (r *Router) allocateSwitch(m Module, cycle int64) {
 	// to evaluate the same predicates a second time.
 	var desire [2][2]bool
 	var readyByDir [2]uint64
-	for mm := (r.Alloc().SAReady() >> uint(base)) & modVCMask; mm != 0; mm &= mm - 1 {
+	for mm := saReady; mm != 0; mm &= mm - 1 {
 		i := bits.TrailingZeros64(mm)
 		vc := r.vcs[base+i]
 		if !vc.FrontReady(cycle) {
@@ -725,18 +706,6 @@ func (r *Router) allocateSwitch(m Module, cycle int64) {
 		}
 		if n > 0 {
 			r.countContention(outsOf(m)[d], n, n > 1)
-		}
-	}
-
-	// Failed speculation: the parallel SA requests were issued and
-	// arbitrated (energy), but a speculative grant has lower priority than
-	// any real request and never displaces one (Peh-Dally speculation), so
-	// they cannot affect the matching — they are charged as SAOps only.
-	var specByDir [2]uint64
-	for mm := (r.vaFailed >> uint(base)) & modVCMask; mm != 0; mm &= mm - 1 {
-		i := bits.TrailingZeros64(mm)
-		if op := r.vcs[base+i].OutPort(); op.IsCardinal() {
-			specByDir[DirSlot(op)] |= 1 << uint(i)
 		}
 	}
 

@@ -11,7 +11,10 @@
 // active sets are uint64 bitsets, so the per-color tick scan is a
 // word-wise sweep of activeBits∧colorMask and the post-tick wake scan
 // reads one packed int32 per router instead of virtually dispatching into
-// its channel objects.
+// its channel objects. Link traffic is pushed, not polled: a pipe half's
+// first write of a cycle appends its conn to the writer's shard list
+// (router.Conn.LogWrites), so the pipe pass touches only the conns that
+// carry something.
 //
 // Results are bit-identical to the reference kernel because:
 //
@@ -19,12 +22,12 @@
 //     visits ids ascending, which is precisely the order sched[c][s]
 //     lists them in and the reference kernel ticks them in.
 //   - The sleep decision is exact: HotState.RouterBusy(id) mirrors
-//     !router.Idle(), because every router kind defines Idle as "all
-//     channels dormant" and every channel queue/states mutation updates
-//     the mirror inline (router.VC.syncHot).
-//   - No work is skipped: all pipe staging happens inside ticks, so the
-//     wake scan over ticked routers' conns sees every staged flit and
-//     credit and wakes its reader for the cycle it becomes readable.
+//     !router.Idle(), because every router kind's Idle is
+//     router.Recovery.Idle ("all channels dormant") and every channel
+//     queue/states mutation updates the mirror inline (router.VC.syncHot).
+//   - No work is skipped: every pipe write logs its conn, so the staged
+//     lists name every conn with a staged flit or credit, and the merge
+//     wakes its reader for the cycle it becomes readable.
 //
 // Snapshots stay kernel-canonical: the hot state is derived, never
 // serialized, and LoadState rebuilds it with HotState.Resync after the
@@ -37,9 +40,9 @@ import (
 )
 
 // initGated builds the gated kernel's state after the mesh is wired: the
-// per-shard flit pools and ticked lists, the sleep clocks, the channel
-// hot-state mirror, the activity bitsets, the per-color schedule masks,
-// the shard id ranges, and the CSR node-to-conn adjacency.
+// per-shard flit pools, ticked lists and staged-conn lists, the sleep
+// clocks, the channel hot-state mirror, the activity bitsets, the
+// per-color schedule masks, and the shard id ranges.
 func (n *Network) initGated(nodes int) {
 	n.pools = make([]*flit.Pool, n.shards)
 	for i := range n.pools {
@@ -54,6 +57,12 @@ func (n *Network) initGated(nodes int) {
 	for i := range n.connMark {
 		n.connMark[i] = -1
 	}
+	// Each half-channel logs into its writer's shard list: flits are
+	// written by the upstream router, credits by the downstream one.
+	n.staged = make([][]int32, n.shards)
+	for i, l := range n.links {
+		n.conns[i].LogWrites(int32(i), &n.staged[n.shardOf[l.up]], &n.staged[n.shardOf[l.down]])
+	}
 
 	n.hot = router.NewHotState(nodes)
 	for _, r := range n.routers {
@@ -61,26 +70,6 @@ func (n *Network) initGated(nodes int) {
 	}
 	n.activeBits = router.NewBitset(nodes)
 	n.nextActiveBits = router.NewBitset(nodes)
-
-	// CSR adjacency: the conn indexes touching each node, ascending,
-	// flattened into two arrays.
-	n.adjOff = make([]int32, nodes+1)
-	for _, l := range n.links {
-		n.adjOff[l.up+1]++
-		n.adjOff[l.down+1]++
-	}
-	for id := 0; id < nodes; id++ {
-		n.adjOff[id+1] += n.adjOff[id]
-	}
-	n.adjList = make([]int32, n.adjOff[nodes])
-	fill := make([]int32, nodes)
-	copy(fill, n.adjOff[:nodes])
-	for i, l := range n.links {
-		n.adjList[fill[l.up]] = int32(i)
-		fill[l.up]++
-		n.adjList[fill[l.down]] = int32(i)
-		fill[l.down]++
-	}
 
 	// colorMask[c] holds every router of color c; shards are contiguous
 	// ascending-id ranges, so masking a color against [shardLo[s],
@@ -142,56 +131,49 @@ func (n *Network) stepGated() {
 	n.inject()
 
 	// Wake scan: a ticked router stays active while any of its channels
-	// is non-dormant (one packed counter read), and staged traffic on an
-	// adjacent conn advances the pipe and wakes the reader half (a flit
-	// wakes the downstream node, a credit the upstream one). The scan
-	// runs shard-major over the per-shard ticked lists; its order is
-	// immaterial (bit sets, connMark dedup, independent pipe advances)
-	// but kept deterministic anyway.
+	// is non-dormant (one packed counter read).
 	for s := range n.shardTicked {
-		ticked := n.shardTicked[s]
-		for _, id := range ticked {
+		for _, id := range n.shardTicked[s] {
 			if n.hot.RouterBusy(id) {
 				n.nextActiveBits.Set(id)
 			}
-			for k := n.adjOff[id]; k < n.adjOff[id+1]; k++ {
-				c := int(n.adjList[k])
-				if n.connMark[c] == t {
-					continue
-				}
-				conn := n.conns[c]
-				if n.isLong != nil && n.isLong[c] {
-					// Multi-cycle D2D pipe: staged traffic moves it onto the
-					// persistent advance list instead of the one-shot path;
-					// the long pass below wakes the readers when traffic
-					// actually lands.
-					n.connMark[c] = t
-					if !n.longOn[c] && !conn.Quiescent() {
-						n.longOn[c] = true
-						n.longActive = append(n.longActive, c)
-					}
-					continue
-				}
-				busy, pending := conn.Flit.Busy(), conn.Credit.Pending()
-				if !busy && !pending {
-					continue
-				}
-				n.connMark[c] = t
-				n.advance = append(n.advance, c)
-				if busy {
-					n.nextActiveBits.Set(n.links[c].down)
-				}
-				if pending {
-					n.nextActiveBits.Set(n.links[c].up)
-				}
-			}
 		}
-		n.shardTicked[s] = ticked[:0]
+		n.shardTicked[s] = n.shardTicked[s][:0]
 	}
-	for _, c := range n.advance {
-		n.conns[c].Advance()
+	// Pipe pass: merge the per-shard staged-conn lists. connMark drops the
+	// second entry of a conn whose flit and credit halves were both
+	// written; a staged flit wakes the downstream node, a staged credit
+	// the upstream one. The merge order is immaterial (bit sets,
+	// independent pipe advances) but deterministic anyway.
+	for s := range n.staged {
+		for _, c32 := range n.staged[s] {
+			c := int(c32)
+			if n.connMark[c] == t {
+				continue
+			}
+			n.connMark[c] = t
+			conn := n.conns[c]
+			if n.isLong != nil && n.isLong[c] {
+				// Multi-cycle D2D pipe: staged traffic moves it onto the
+				// persistent advance list instead of the one-shot path;
+				// the long pass below wakes the readers when traffic
+				// actually lands.
+				if !n.longOn[c] {
+					n.longOn[c] = true
+					n.longActive = append(n.longActive, c)
+				}
+				continue
+			}
+			if conn.Flit.Busy() {
+				n.nextActiveBits.Set(n.links[c].down)
+			}
+			if conn.Credit.Pending() {
+				n.nextActiveBits.Set(n.links[c].up)
+			}
+			conn.Advance()
+		}
+		n.staged[s] = n.staged[s][:0]
 	}
-	n.advance = n.advance[:0]
 	n.advanceLongConns()
 
 	n.activeBits.CopyFrom(n.nextActiveBits)

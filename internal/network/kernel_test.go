@@ -119,6 +119,24 @@ func TestGatedKernelMatchesReferenceUnderFaults(t *testing.T) {
 	}
 }
 
+// TestGatedKernelHuntsDeadGrants pins the fault-count half of the sweep
+// generation: RoCo's dead-grant hunt must see a granted downstream
+// channel die the cycle its fault is installed, even when the fault drops
+// no flit (so the broken registry does not grow) and the granted channel
+// was not mutated since its last sweep. Critical faults kill whole
+// modules and nodes, zeroing credit-book depths under standing grants;
+// this seed diverges from the reference kernel if the sweep re-examines
+// live channels only when the registry grows.
+func TestGatedKernelHuntsDeadGrants(t *testing.T) {
+	const seed = 4
+	cfg := kernelConfig(rocoBuilder, seed)
+	cfg.Traffic.Rate = 0.1
+	cfg.Schedule = fault.PoissonSchedule(fault.Critical, 80, 600, 64, core.NumVCs, stats.NewRNG(seed^0xfa17))
+	if want := assertGatedMatchesReference(t, cfg); len(want.FaultLog) == 0 {
+		t.Fatal("fault schedule installed no faults; test is vacuous")
+	}
+}
+
 // TestSoAKernelMatchesReference repeats the gated-vs-reference contract
 // on the two-word wideMesh, where the packed (struct-of-arrays) state —
 // bitset active sets, color masks, the hot-state mirror — is laid out

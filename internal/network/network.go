@@ -332,20 +332,19 @@ type Network struct {
 	// flits are freshly allocated exactly as the pre-gating kernel did.
 	// hot is the packed mirror of every channel's occupancy and dormancy;
 	// colorMask and shardLo turn the canonical schedule into word-wise
-	// bitset sweeps; adjOff/adjList list the conns touching each node.
+	// bitset sweeps; staged holds, per shard, the conns its routers wrote
+	// this Step.
 	pools          []*flit.Pool // per-shard flit free lists
 	graveyard      []*flit.Flit // flits that died this cycle, recycled at end of Step
 	activeBits     router.Bitset
 	nextActiveBits router.Bitset // wakes accumulated for next cycle
 	lastRun        []int64       // last cycle each router ticked; -1 = never
 	shardTicked    [][]int       // scratch: routers ticked this Step, per shard
-	advance        []int         // scratch: conns with staged traffic this Step
+	staged         [][]int32     // scratch: conns written this Step, per shard
 	connMark       []int64       // last cycle each conn was marked for advance
 	hot            *router.HotState
 	colorMask      []router.Bitset
 	shardLo        []int
-	adjOff         []int32
-	adjList        []int32
 
 	// Multi-cycle die-to-die link state (chiplet topologies with
 	// D2DLatency/D2DGap > 1; nil otherwise). A long conn cannot use the

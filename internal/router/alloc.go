@@ -23,6 +23,11 @@ import (
 // without a VC mutator running: flit ReadyAt stamps (checked live through
 // VC.FrontReady), downstream credits, and look-ahead routes. Those stay
 // per-cycle work; the masks only prune which channels that work runs for.
+//
+// The same funnel maintains the recovery masks (live, doomed), and
+// the mutators that change a front packet state also mark it dirty; they
+// let Recovery's scans and Idle visit only the channels that can have
+// work instead of every channel of the router.
 type AllocState struct {
 	// needVA: the front flit is a head still awaiting a downstream grant
 	// and the packet is not doomed — exactly the channels the VA request
@@ -39,6 +44,19 @@ type AllocState struct {
 	free    uint64
 	notFull uint64
 	feeder  [int(topology.Invalid) + 1]uint64
+
+	// live: the channel holds a packet state (FrontState would succeed).
+	// Every buffered flit belongs to a resident packet state, so live is
+	// also exactly the set of non-dormant channels: the router is idle
+	// when live is zero.
+	live uint64
+	// doomed: the front packet state is marked for discard.
+	doomed uint64
+	// dirty: the channel's front packet state changed (a new front
+	// packet, a grant, a doom) since the last SweepBroken, so the sweep
+	// must look at it again. Flits streaming behind an unchanged front
+	// leave it clean.
+	dirty uint64
 }
 
 // NeedVA returns the VA request mask: channels whose front head awaits a
@@ -66,6 +84,7 @@ func (v *VC) bindAlloc(a *AllocState, idx int) {
 	}
 	v.alloc = a
 	v.abit = 1 << uint(idx)
+	v.frontChanged()
 	v.syncAlloc()
 	v.syncClaim()
 }
@@ -80,27 +99,45 @@ func (v *VC) granteeIndex() int {
 	return bits.TrailingZeros64(v.abit)
 }
 
-// syncAlloc recomputes the channel's needVA and saReady bits after a
-// queue, states, or front-packet routing mutation. No-op for channels not
-// bound to a router (bare unit-test VCs).
+// frontChanged marks the channel dirty: its front packet state changed.
+// No-op for channels not bound to a router.
+func (v *VC) frontChanged() {
+	if a := v.alloc; a != nil {
+		a.dirty |= v.abit
+	}
+}
+
+// syncAlloc recomputes the channel's allocation and recovery bits after
+// a queue, states, or front-packet routing mutation. No-op for channels
+// not bound to a router (bare unit-test VCs).
 func (v *VC) syncAlloc() {
 	a := v.alloc
 	if a == nil {
 		return
 	}
-	a.needVA &^= v.abit
-	a.saReady &^= v.abit
-	if len(v.queue) == 0 || len(v.states) == 0 || v.queue[0].PacketID != v.states[0].packetID {
+	b := v.abit
+	a.needVA &^= b
+	a.saReady &^= b
+	a.live &^= b
+	a.doomed &^= b
+	if len(v.states) == 0 {
 		return
 	}
+	a.live |= b
 	s := &v.states[0]
+	if s.flags&psDoomed != 0 {
+		a.doomed |= b
+	}
+	if len(v.queue) == 0 || v.queue[0].PacketID != s.packetID {
+		return
+	}
 	if v.queue[0].Type.IsHead() && s.outVC < 0 && s.flags&psEject == 0 {
 		if s.flags&psDoomed == 0 {
-			a.needVA |= v.abit
+			a.needVA |= b
 		}
 		return
 	}
-	a.saReady |= v.abit
+	a.saReady |= b
 }
 
 // syncClaim recomputes the channel's claim-admission bits after a claim

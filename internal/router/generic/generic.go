@@ -59,11 +59,8 @@ type Router struct {
 	injVC int // Local-port VC owned by the packet being injected, or -1
 
 	dead bool
-	// noFastPath disables Tick's dormant-router early return (reference
-	// kernel mode).
-	noFastPath bool
-	act        router.Activity
-	cont       router.Contention
+	act  router.Activity
+	cont router.Contention
 
 	// scratch state reused across cycles. Request sets are uint64 bitmaps
 	// over the flat grantee-index namespace (port*VCsPerPort + vc):
@@ -105,7 +102,7 @@ func New(id int, engine *router.RouteEngine) *Router {
 	for p := 0; p < numPorts; p++ {
 		flat = append(flat, r.ports[p]...)
 	}
-	r.InitRecovery(id, flat, r.grantTarget, r.abortCleanup)
+	r.InitRecovery(id, flat, r.grantTarget, r.abortCleanup, r.drained)
 	r.SetFeederProbe(func(d topology.Direction, pkt uint64) bool {
 		return d.IsCardinal() && r.in[d] != nil && r.in[d].Flit.Carries(pkt)
 	})
@@ -265,27 +262,6 @@ func (r *Router) Quiescent() bool {
 	return true
 }
 
-// Idle reports whether a tick with empty input pipes would be a pure
-// no-op: every VC is dormant (no flits buffered, no packet state
-// resident), so sweeping, draining, reaping, VA and SA all have nothing
-// to do. Upstream claims on empty channels do not block idleness — no
-// tick phase acts on a bare claim.
-func (r *Router) Idle() bool {
-	for p := range r.ports {
-		for _, vc := range r.ports[p] {
-			if !vc.Dormant() {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// DisableTickFastPath makes Tick run every phase even when the router is
-// Idle; the reference kernel sets it so the ungated baseline executes the
-// full tick-everything cost.
-func (r *Router) DisableTickFastPath() { r.noFastPath = true }
-
 // SkipCycles replays n idle ticks. A live idle tick only advances the
 // activity cycle counter (round-robin arbiters do not move without
 // requests); a dead router's tick never counts cycles at all.
@@ -443,15 +419,11 @@ func (r *Router) Tick(cycle int64) {
 	// allocator phases below are all no-ops (the same argument that makes
 	// SkipCycles sound), so a router woken only to absorb returning
 	// credits skips the channel scans.
-	if !r.noFastPath && r.Idle() {
+	if r.SkipTick() {
 		return
 	}
 
-	if r.noFastPath || !r.RecoveryQuiet() {
-		r.SweepBroken(cycle, false)
-		r.drainDoomed(cycle)
-		r.ReapOrphans(cycle)
-	}
+	r.Recover(cycle, false)
 
 	// 3. VA: separable, one iteration per cycle, speculative with SA.
 	r.allocateVCs(cycle)
@@ -480,31 +452,15 @@ func (r *Router) tickDead(cycle int64) {
 			r.out[d].Credit.Read()
 		}
 	}
-	r.drainDoomed(cycle)
-	r.ReapOrphans(cycle)
+	r.RetireDoomed(cycle)
 }
 
-// drainDoomed discards flits of packets whose route is permanently
-// fault-blocked, returning their credits upstream.
-func (r *Router) drainDoomed(cycle int64) {
-	for p := 0; p < numPorts; p++ {
-		for v, vc := range r.ports[p] {
-			for {
-				f := vc.DrainDoomed()
-				if f == nil {
-					break
-				}
-				r.NoteStragglerDrain(vc)
-				r.act.DroppedFlits++
-				r.DropFlit(f, cycle, trace.DropInFlight)
-				if topology.Direction(p) != topology.Local && r.in[p] != nil {
-					r.in[p].Credit.Write(v)
-				}
-				if f.Type.IsTail() {
-					break
-				}
-			}
-		}
+// drained counts a doomed flit the recovery drain discarded and returns
+// its credit upstream.
+func (r *Router) drained(vc *router.VC, feeder topology.Direction) {
+	r.act.DroppedFlits++
+	if feeder.IsCardinal() && r.in[feeder] != nil {
+		r.in[feeder].Credit.Write(vc.Index)
 	}
 }
 

@@ -97,11 +97,8 @@ type Router struct {
 	injVC int
 
 	dead bool
-	// noFastPath disables Tick's dormant-router early return (reference
-	// kernel mode).
-	noFastPath bool
-	act        router.Activity
-	cont       router.Contention
+	act  router.Activity
+	cont router.Contention
 
 	// Per-cycle request scratch as bitmaps over the router-wide VC ids:
 	// vaFailed marks failed VA requesters (speculative SA), targReq[b][c]
@@ -149,7 +146,7 @@ func New(id int, engine *router.RouteEngine) *Router {
 	for i := range r.vaArb {
 		r.vaArb[i] = arbiter.NewRoundRobinSlice(NumVCs, NumVCs)
 	}
-	r.InitRecovery(id, r.vcs[:], r.grantTarget, r.abortCleanup)
+	r.InitRecovery(id, r.vcs[:], r.grantTarget, r.abortCleanup, r.drained)
 	r.SetFeederProbe(func(d topology.Direction, pkt uint64) bool {
 		return d.IsCardinal() && r.in[d] != nil && r.in[d].Flit.Carries(pkt)
 	})
@@ -311,24 +308,6 @@ func (r *Router) Quiescent() bool {
 	return true
 }
 
-// Idle reports whether a tick with empty input pipes would be a pure
-// no-op: every VC (external or internal transfer) is dormant — no flits
-// buffered, no packet state resident. Bare upstream claims do not block
-// idleness, since no tick phase acts on a claim alone.
-func (r *Router) Idle() bool {
-	for _, vc := range r.vcs {
-		if !vc.Dormant() {
-			return false
-		}
-	}
-	return true
-}
-
-// DisableTickFastPath makes Tick run every phase even when the router is
-// Idle; the reference kernel sets it so the ungated baseline executes the
-// full tick-everything cost.
-func (r *Router) DisableTickFastPath() { r.noFastPath = true }
-
 // SkipCycles replays n idle ticks: only the activity cycle counter moves
 // (idle round-robin arbiters hold still), and only on a live node.
 func (r *Router) SkipCycles(n int64) {
@@ -466,15 +445,11 @@ func (r *Router) Tick(cycle int64) {
 	// Fast path: with every channel dormant the phases below are all
 	// no-ops (the same argument that makes SkipCycles sound), so a
 	// router woken only to absorb returning credits skips them.
-	if !r.noFastPath && r.Idle() {
+	if r.SkipTick() {
 		return
 	}
 
-	if r.noFastPath || !r.RecoveryQuiet() {
-		r.SweepBroken(cycle, false)
-		r.drainDoomed(cycle)
-		r.ReapOrphans(cycle)
-	}
+	r.Recover(cycle, false)
 	r.allocateVCs(cycle)
 	r.allocateSwitch(cycle)
 }
@@ -498,32 +473,19 @@ func (r *Router) tickDead(cycle int64) {
 			r.out[d].Credit.Read()
 		}
 	}
-	r.drainDoomed(cycle)
-	r.ReapOrphans(cycle)
+	r.RetireDoomed(cycle)
 }
 
-// drainDoomed discards flits of fault-blocked packets.
-func (r *Router) drainDoomed(cycle int64) {
-	for _, vc := range r.vcs {
-		for {
-			feeder := vc.Feeder()
-			f := vc.DrainDoomed()
-			if f == nil {
-				break
-			}
-			r.NoteStragglerDrain(vc)
-			r.act.DroppedFlits++
-			r.DropFlit(f, cycle, trace.DropInFlight)
-			if feeder.IsCardinal() && r.in[feeder] != nil {
-				r.in[feeder].Credit.Write(vc.Index)
-			}
-			if portOfVC(vc.Index) == portFromX {
-				r.transferBook.ReturnCredit(vc.Index)
-			}
-			if f.Type.IsTail() {
-				break
-			}
-		}
+// drained counts a doomed flit the recovery drain discarded and returns
+// its credit upstream; a drained internal transfer channel also returns
+// its transfer-book credit.
+func (r *Router) drained(vc *router.VC, feeder topology.Direction) {
+	r.act.DroppedFlits++
+	if feeder.IsCardinal() && r.in[feeder] != nil {
+		r.in[feeder].Credit.Write(vc.Index)
+	}
+	if portOfVC(vc.Index) == portFromX {
+		r.transferBook.ReturnCredit(vc.Index)
 	}
 }
 

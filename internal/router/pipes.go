@@ -33,6 +33,11 @@ type FlitPipe struct {
 	gap      int32
 	gapLeft  int32
 	inflight []delayedFlit
+
+	// staged is the writer router's staged-conn list (gated kernel only;
+	// nil otherwise) and conn this link's index in it: see Conn.LogWrites.
+	staged *[]int32
+	conn   int32
 }
 
 // delayedFlit is one in-transit flit of a multi-cycle pipe.
@@ -60,6 +65,9 @@ func (p *FlitPipe) Write(f *flit.Flit) {
 		panic(fmt.Sprintf("router: link written twice in one cycle (%v then %v)", p.next, f))
 	}
 	p.next = f
+	if p.staged != nil {
+		*p.staged = append(*p.staged, p.conn)
+	}
 }
 
 // Read consumes the flit delivered this cycle, or nil.
@@ -181,6 +189,10 @@ type CreditPipe struct {
 	long     bool
 	latency  int32
 	inflight []delayedCredit
+
+	// staged and conn: as on FlitPipe.
+	staged *[]int32
+	conn   int32
 }
 
 // delayedCredit is one in-transit credit of a multi-cycle pipe.
@@ -198,8 +210,14 @@ func (p *CreditPipe) setD2D(latency int) {
 	p.latency = int32(latency)
 }
 
-// Write stages a credit for VC index vc.
-func (p *CreditPipe) Write(vc int) { p.next = append(p.next, vc) }
+// Write stages a credit for VC index vc. Only the cycle's first credit
+// logs the conn; later ones ride the same advance.
+func (p *CreditPipe) Write(vc int) {
+	if len(p.next) == 0 && p.staged != nil {
+		*p.staged = append(*p.staged, p.conn)
+	}
+	p.next = append(p.next, vc)
+}
 
 // Read consumes the credits delivered this cycle, or nil. The returned
 // slice is only valid until the next Advance.
@@ -275,6 +293,17 @@ type Conn struct {
 func (c *Conn) SetD2D(latency, gap int) {
 	c.Flit.setD2D(latency, gap)
 	c.Credit.setD2D(latency)
+}
+
+// LogWrites makes each half-channel append conn to a staged list on its
+// first write of a cycle: flits to flitLog (the upstream writer's list),
+// credits to creditLog (the downstream writer's). The gated kernel keeps
+// one list per shard and, after the tick phases, advances exactly the
+// logged conns; each half has one writer router, so shards never append
+// to the same list concurrently.
+func (c *Conn) LogWrites(conn int32, flitLog, creditLog *[]int32) {
+	c.Flit.staged, c.Flit.conn = flitLog, conn
+	c.Credit.staged, c.Credit.conn = creditLog, conn
 }
 
 // Long reports whether the link is a multi-cycle D2D pipe. Long conns are

@@ -2,6 +2,7 @@ package router
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/rocosim/roco/internal/flit"
 	"github.com/rocosim/roco/internal/routing"
@@ -18,10 +19,19 @@ import (
 // flits drain instead of wedging the network.
 type BrokenSet struct {
 	ids map[uint64]int64 // packet ID -> cycle first broken
-	// faulty latches permanently once any fault is installed anywhere in
-	// the network; together with an empty registry it proves the recovery
-	// scans (SweepBroken, doomed drains, ReapOrphans) have nothing to do.
-	faulty bool
+	// log lists the registered IDs in registration order. It only grows,
+	// so a router that last swept at log position p knows that any of its
+	// unchanged channels whose front packet broke since then holds one of
+	// log[p:] — a short slice to compare against instead of a map lookup
+	// per channel.
+	log []uint64
+	// faults counts fault installations anywhere in the network. A zero
+	// count and an empty registry together prove the recovery scans
+	// (SweepBroken, doomed drains, ReapOrphans) have nothing to do. The
+	// count is also the liveness half of the sweep generation:
+	// OutVCBook.Alive only changes during a fault installation, which
+	// always bumps the count first.
+	faults uint64
 }
 
 // NewBrokenSet returns an empty registry.
@@ -33,6 +43,7 @@ func NewBrokenSet() *BrokenSet {
 func (b *BrokenSet) Add(id uint64, cycle int64) {
 	if _, ok := b.ids[id]; !ok {
 		b.ids[id] = cycle
+		b.log = append(b.log, id)
 	}
 }
 
@@ -45,13 +56,14 @@ func (b *BrokenSet) Contains(id uint64) bool {
 // Len returns the number of broken packets.
 func (b *BrokenSet) Len() int { return len(b.ids) }
 
-// MarkFaulty latches that a fault was installed somewhere in the network
-// (permanently — faults never heal in this simulator).
-func (b *BrokenSet) MarkFaulty() { b.faulty = true }
+// MarkFaulty records that a fault was installed somewhere in the network
+// (permanently — faults never heal in this simulator). Every router's
+// next sweep then re-examines all of its live channels.
+func (b *BrokenSet) MarkFaulty() { b.faults++ }
 
 // Quiet reports that no fault was ever installed and no packet ever broke,
 // so no router can hold doomed, dead-granted, or orphaned state.
-func (b *BrokenSet) Quiet() bool { return !b.faulty && len(b.ids) == 0 }
+func (b *BrokenSet) Quiet() bool { return b.faults == 0 && len(b.ids) == 0 }
 
 // StuckFlit describes one packet stalled in a router buffer; the livelock
 // watchdog collects them for its diagnostic report.
@@ -100,14 +112,25 @@ const orphanAge = 4
 // Recovery is the live-fault half of a router: shared bookkeeping for
 // dropping flits, sweeping broken packets, withdrawing dead grants, and
 // retiring orphaned packet states. Router implementations embed it and
-// call SweepBroken/ReapOrphans from Tick (between arrivals and
-// allocation). The vcs slice must list the router's channels in the index
-// order used as grantee IDs in its output books.
+// call Recover from Tick (between arrivals and allocation). The vcs slice
+// must list the router's channels in the index order used as grantee IDs
+// in its output books.
+//
+// The scans cost what changed, not how many channels the router has: the
+// sweep visits the channels whose front state changed since the last
+// sweep (plus the other live channels when the broken registry or the
+// fault count moved), and the
+// drain and reap visit the doomed and reap-armed channels, all read off
+// the AllocState masks in ascending channel order, which is the order a
+// full scan visits them in. DisableTickFastPath turns every mask into
+// "all channels", so the reference kernel stays the full-scan oracle the
+// gated kernel is checked against.
 type Recovery struct {
 	node       int
 	vcs        []*VC
 	grantRef   func(vcIndex int) (GrantRef, bool)
 	onAbort    func(vcIndex int)
+	onDrain    func(vc *VC, feeder topology.Direction)
 	dropSink   DropSink
 	broken     *BrokenSet
 	emptySince []int64
@@ -123,27 +146,61 @@ type Recovery struct {
 	// alloc holds the router's allocation bitmaps; bit i of every mask is
 	// vcs[i], so the mask index space IS the grantee index space.
 	alloc AllocState
+
+	// fullScan (reference kernel) disables the dormant-tick fast path and
+	// makes every recovery scan visit allVCs instead of its mask.
+	fullScan bool
+	allVCs   uint64
+	// reapArmed is the set of channels whose orphan clock runs
+	// (emptySince >= 0).
+	reapArmed uint64
+	// seenLog and seenFaults are the broken registry's log length and
+	// fault count at the last sweep; seenLog < 0 makes the next sweep
+	// visit every live channel (after construction and snapshot loads).
+	seenLog    int
+	seenFaults uint64
 }
 
 // InitRecovery wires the embedded recovery state. grantRef resolves a VC
 // index to its front packet's grant target (ok=false when the front packet
 // holds no external grant); onAbort (optional) runs after a front state is
 // force-retired, letting the router clear references to the VC (e.g. its
-// injection channel).
-func (rc *Recovery) InitRecovery(node int, vcs []*VC, grantRef func(int) (GrantRef, bool), onAbort func(int)) {
+// injection channel); onDrain runs after each doomed flit is dropped
+// (feeder is the link the front packet arrived over), so the router can
+// count the drop and return the flit's credit upstream.
+func (rc *Recovery) InitRecovery(node int, vcs []*VC, grantRef func(int) (GrantRef, bool), onAbort func(int), onDrain func(*VC, topology.Direction)) {
 	rc.node = node
 	rc.vcs = vcs
 	rc.grantRef = grantRef
 	rc.onAbort = onAbort
+	rc.onDrain = onDrain
 	rc.emptySince = make([]int64, len(vcs))
 	for i := range rc.emptySince {
 		rc.emptySince[i] = -1
 	}
 	rc.reapAge = orphanAge
+	rc.seenLog = -1
 	for i, vc := range vcs {
 		vc.bindAlloc(&rc.alloc, i)
+		rc.allVCs |= 1 << uint(i)
 	}
 }
+
+// DisableTickFastPath makes Tick run every phase even when the router is
+// idle, and every recovery scan visit all channels; the reference kernel
+// sets it so the ungated baseline executes the full tick-everything cost.
+func (rc *Recovery) DisableTickFastPath() { rc.fullScan = true }
+
+// Idle reports whether a tick with empty input pipes would be a pure
+// no-op: every channel is dormant (no flits buffered, no packet state
+// resident), so sweeping, draining, reaping, VA and SA all have nothing
+// to do. Upstream claims on empty channels do not block idleness — no
+// tick phase acts on a bare claim.
+func (rc *Recovery) Idle() bool { return rc.alloc.live == 0 }
+
+// SkipTick reports whether Tick may return right after its arrival phase:
+// the router is Idle and the fast path is enabled.
+func (rc *Recovery) SkipTick() bool { return !rc.fullScan && rc.Idle() }
 
 // Alloc exposes the router's allocation bitmaps; the VA/SA stages read
 // them instead of re-evaluating per-channel predicates each cycle.
@@ -261,6 +318,24 @@ func (rc *Recovery) VCOccupancy(per *[routing.NumClasses]int32) int {
 	return total
 }
 
+// Recover is a live router's per-tick recovery phase: SweepBroken, then
+// the doomed drain and ReapOrphans. A quiet network skips it (see
+// RecoveryQuiet) except under the reference kernel's full scans.
+func (rc *Recovery) Recover(cycle int64, huntDeadGrants bool) {
+	if !rc.fullScan && rc.RecoveryQuiet() {
+		return
+	}
+	rc.SweepBroken(cycle, huntDeadGrants)
+	rc.RetireDoomed(cycle)
+}
+
+// RetireDoomed drains the buffered flits of doomed front packets and
+// reaps orphaned states; it is the whole recovery phase of a dead node.
+func (rc *Recovery) RetireDoomed(cycle int64) {
+	rc.drainDoomed(cycle)
+	rc.ReapOrphans(cycle)
+}
+
 // SweepBroken dooms resident front packets that can no longer complete and
 // withdraws their outstanding VA grants. Two triggers: the packet is in
 // the broken set (it lost a flit elsewhere), or — when huntDeadGrants is
@@ -270,8 +345,41 @@ func (rc *Recovery) VCOccupancy(per *[routing.NumClasses]int32) int {
 // credit state; the baselines lack the mechanism, so a packet granted into
 // a node that dies before it streams wedges its channel (and every channel
 // queued behind it) until the watchdog reports it.
+//
+// A channel's outcome depends only on its front state, on whether that
+// packet is registered broken, and on its granted channel's liveness, and
+// a visited channel is left in a state whose next visit is a no-op. So
+// the sweep visits the dirty channels (front state changed), and the
+// other live ones only when the registry grew (checked against the new
+// log entries alone) or a fault was installed (which can flip
+// OutVCBook.Alive).
 func (rc *Recovery) SweepBroken(cycle int64, huntDeadGrants bool) {
-	for i, vc := range rc.vcs {
+	a := &rc.alloc
+	dirty := a.dirty
+	a.dirty = 0
+	visit, recheck := dirty&a.live, uint64(0)
+	var fresh []uint64
+	switch b := rc.broken; {
+	case rc.fullScan || b == nil:
+		visit = rc.allVCs
+	case rc.seenLog < 0 || rc.seenFaults != b.faults:
+		visit = a.live
+	case rc.seenLog < len(b.log):
+		fresh = b.log[rc.seenLog:]
+		recheck = a.live &^ a.doomed &^ dirty
+		visit |= recheck
+	}
+	if b := rc.broken; b != nil {
+		rc.seenLog, rc.seenFaults = len(b.log), b.faults
+	}
+	for m := visit; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		vc := rc.vcs[i]
+		if recheck&(1<<uint(i)) != 0 && !brokeSince(fresh, vc.states[0].packetID, rc.broken) {
+			// An unchanged, undoomed front under an unchanged fault count:
+			// only a freshly broken ID can doom it.
+			continue
+		}
 		st, ok := vc.FrontState()
 		if !ok {
 			continue
@@ -308,32 +416,117 @@ func (rc *Recovery) SweepBroken(cycle int64, huntDeadGrants bool) {
 	}
 }
 
+// brokeSince reports whether id is among the fresh registry entries: a
+// short linear compare, falling back to the map for a large batch.
+func brokeSince(fresh []uint64, id uint64, b *BrokenSet) bool {
+	if len(fresh) > 8 {
+		return b.Contains(id)
+	}
+	for _, f := range fresh {
+		if f == id {
+			return true
+		}
+	}
+	return false
+}
+
+// drainDoomed discards the buffered flits of doomed front packets, one
+// packet per channel per tick, reporting each drop and handing it to the
+// router's onDrain hook for the credit return.
+func (rc *Recovery) drainDoomed(cycle int64) {
+	visit := rc.alloc.doomed
+	if rc.fullScan {
+		visit = rc.allVCs
+	}
+	for m := visit; m != 0; m &= m - 1 {
+		vc := rc.vcs[bits.TrailingZeros64(m)]
+		for {
+			feeder := vc.Feeder()
+			f := vc.DrainDoomed()
+			if f == nil {
+				break
+			}
+			rc.NoteStragglerDrain(vc)
+			rc.DropFlit(f, cycle, trace.DropInFlight)
+			rc.onDrain(vc, feeder)
+			if f.Type.IsTail() {
+				break
+			}
+		}
+	}
+}
+
 // ReapOrphans force-retires doomed front packet states whose remaining
 // flits were dropped elsewhere and can never arrive: the packet is broken,
 // none of its flits are buffered here, and the situation has persisted
 // past the in-flight horizon. Without the reap, the fragment state would
-// hold its channel (and the packets queued behind it) forever.
+// hold its channel (and the packets queued behind it) forever. Only a
+// doomed channel can arm its clock and only an armed one needs disarming,
+// so the scan visits doomed | reapArmed.
 func (rc *Recovery) ReapOrphans(cycle int64) {
-	for i, vc := range rc.vcs {
+	visit := rc.alloc.doomed | rc.reapArmed
+	if rc.fullScan {
+		visit = rc.allVCs
+	}
+	for m := visit; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		vc := rc.vcs[i]
 		st, ok := vc.FrontState()
 		if !ok || !st.Doomed || !rc.Broken(st.PacketID) || vc.FrontPacketBuffered() ||
 			(rc.feederBusy != nil && rc.feederBusy(vc.Feeder(), st.PacketID)) {
-			rc.emptySince[i] = -1
+			rc.disarm(i)
 			continue
 		}
 		if rc.emptySince[i] < 0 {
 			rc.emptySince[i] = cycle
+			rc.reapArmed |= 1 << uint(i)
 			continue
 		}
 		if cycle-rc.emptySince[i] < rc.reapAge {
 			continue
 		}
 		vc.AbortFront()
-		rc.emptySince[i] = -1
+		rc.disarm(i)
 		if rc.onAbort != nil {
 			rc.onAbort(i)
 		}
 	}
+}
+
+// MaskSet is a copy of a router's recovery-scan masks; bit i of each
+// field is the router's channel i.
+type MaskSet struct {
+	Live, Doomed, ReapArmed uint64
+}
+
+// ScanMasks returns the incrementally kept masks and the same masks
+// recomputed from every channel's own state. The two agree at every
+// cycle boundary; tests assert it, since a drifted mask would make the
+// gated kernel skip a channel the reference kernel's full scan visits.
+// The derived Live takes every non-dormant channel, so the check also
+// proves that live doubles as the busy set Idle reads.
+func (rc *Recovery) ScanMasks() (kept, derived MaskSet) {
+	a := &rc.alloc
+	kept = MaskSet{Live: a.live, Doomed: a.doomed, ReapArmed: rc.reapArmed}
+	for i, vc := range rc.vcs {
+		b := uint64(1) << uint(i)
+		if vc.Active() || !vc.Dormant() {
+			derived.Live |= b
+		}
+		if vc.Doomed() {
+			derived.Doomed |= b
+		}
+		if rc.emptySince[i] >= 0 {
+			derived.ReapArmed |= b
+		}
+	}
+	return kept, derived
+}
+
+// disarm stops channel i's orphan clock.
+func (rc *Recovery) disarm(i int) {
+	rc.emptySince[i] = -1
+	rc.reapArmed &^= 1 << uint(i)
 }
 
 // SetFeederProbe installs the router's view of its input links: busy(d,
@@ -372,7 +565,7 @@ func (rc *Recovery) SetReapHorizon(maxLinkDelay int64) {
 // reap scan — would never hold the reap off.
 func (rc *Recovery) NoteStragglerDrain(vc *VC) {
 	if i := vc.granteeIndex(); i >= 0 && i < len(rc.emptySince) {
-		rc.emptySince[i] = -1
+		rc.disarm(i)
 	}
 }
 

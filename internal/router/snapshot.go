@@ -168,6 +168,7 @@ func (v *VC) LoadState(d *snapshot.Decoder, c *flit.Codec) {
 	// The allocation bitmaps are derived state, never serialized; rebuild
 	// the channel's bits from what just loaded (like HotState.Resync, but
 	// per channel — the masks have no cross-channel terms).
+	v.frontChanged()
 	v.syncAlloc()
 	v.syncClaim()
 }
@@ -311,7 +312,7 @@ func (c *Conn) LoadState(d *snapshot.Decoder, fc *flit.Codec) {
 // SaveState serializes the broken-packet registry, IDs in ascending order
 // so the byte stream is deterministic.
 func (b *BrokenSet) SaveState(e *snapshot.Encoder) {
-	e.Bool(b.faulty)
+	e.Bool(b.faults > 0)
 	ids := make([]uint64, 0, len(b.ids))
 	for id := range b.ids {
 		ids = append(ids, id)
@@ -326,7 +327,10 @@ func (b *BrokenSet) SaveState(e *snapshot.Encoder) {
 
 // LoadState restores a registry written by SaveState.
 func (b *BrokenSet) LoadState(d *snapshot.Decoder) {
-	b.faulty = d.Bool()
+	b.faults = 0
+	if d.Bool() {
+		b.faults = 1
+	}
 	n := d.SliceLen(16)
 	for i := 0; i < n; i++ {
 		id := d.U64()
@@ -334,7 +338,7 @@ func (b *BrokenSet) LoadState(d *snapshot.Decoder) {
 		if d.Err() != nil {
 			return
 		}
-		b.ids[id] = cycle
+		b.Add(id, cycle)
 	}
 }
 
@@ -354,8 +358,13 @@ func (rc *Recovery) LoadRecoveryState(d *snapshot.Decoder) {
 		d.Corruptf("recovery tracks %d VCs, snapshot had %d", len(rc.emptySince), n)
 		return
 	}
+	rc.reapArmed = 0
 	for i := range rc.emptySince {
 		rc.emptySince[i] = d.I64()
+		if rc.emptySince[i] >= 0 {
+			rc.reapArmed |= 1 << uint(i)
+		}
 	}
 	rc.severed = d.U8()
+	rc.seenLog = -1
 }

@@ -228,6 +228,7 @@ func (v *VC) SetNextOut(d topology.Direction) { v.states[0].nextOut = d }
 func (v *VC) GrantRoute(outVC int, nextOut topology.Direction) {
 	v.states[0].outVC = int32(outVC)
 	v.states[0].nextOut = nextOut
+	v.frontChanged()
 	v.syncAlloc()
 }
 
@@ -235,6 +236,7 @@ func (v *VC) GrantRoute(outVC int, nextOut topology.Direction) {
 func (v *VC) GrantEject() {
 	v.states[0].flags |= psEject
 	v.states[0].nextOut = topology.Local
+	v.frontChanged()
 	v.syncAlloc()
 }
 
@@ -245,6 +247,7 @@ func (v *VC) GrantEject() {
 // and tree saturation would wedge the whole network.
 func (v *VC) Doom() {
 	v.states[0].flags |= psDoomed
+	v.frontChanged()
 	v.syncAlloc()
 }
 
@@ -258,6 +261,7 @@ func (v *VC) DoomResidents() {
 	for i := range v.states {
 		v.states[i].flags |= psDoomed
 	}
+	v.frontChanged()
 	v.syncAlloc()
 }
 
@@ -354,6 +358,7 @@ func (v *VC) AbortFront() {
 	if v.claims == 0 {
 		v.claimFeeder = topology.Invalid
 	}
+	v.frontChanged()
 	v.syncClaim()
 	v.syncHot(before)
 }
@@ -431,6 +436,9 @@ func (v *VC) PushFrom(f *flit.Flit, from topology.Direction) {
 		if v.condemned {
 			flags = psDoomed
 		}
+		if len(v.states) == 0 {
+			v.frontChanged()
+		}
 		v.states = append(v.states, pktState{
 			outPort:  f.OutPort,
 			nextOut:  topology.Invalid,
@@ -466,6 +474,7 @@ func (v *VC) Pop() *flit.Flit {
 		if v.claims == 0 {
 			v.claimFeeder = topology.Invalid
 		}
+		v.frontChanged()
 		v.syncClaim()
 	}
 	v.syncHot(before)

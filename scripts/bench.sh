@@ -31,9 +31,10 @@
 #   sh scripts/bench.sh chiplet [benchtime]   — the chiplet-topology
 #     benchmarks (gated kernel, RoCo router, a flat 16x16 mesh vs the
 #     same nodes as 2x2 chiplets of 8x8 with parallel and serial boundary
-#     links, at low and mid load), distilled into BENCH_chiplet.json:
-#     ns/op, B/op and allocs/op per point plus each seam's per-load step
-#     cost relative to the flat die.
+#     links, at low and mid load, plus the serial machine degraded by
+#     faults with the Reliable protocol on), distilled into
+#     BENCH_chiplet.json: ns/op, B/op and allocs/op per point plus each
+#     seam's per-load step cost relative to the flat die.
 #
 # Every mode defaults to a fixed iteration count (-benchtime=Nx) rather
 # than a duration: per-cycle cost drifts with simulated time (queues
@@ -260,6 +261,9 @@ if [ "$MODE" = "chiplet" ]; then
 	        for (j = 1; j <= nl; j++) {
 	            l = loads[j]
 	            printf "%s\n      \"%s\": {\"ns_op\": %s, \"b_op\": %s, \"allocs_op\": %s}", (j > 1 ? "," : ""), l, ns[s,l], bytes[s,l], allocs[s,l]
+	        }
+	        if ((s, "faulted") in ns) {
+	            printf ",\n      \"faulted\": {\"ns_op\": %s, \"b_op\": %s, \"allocs_op\": %s}", ns[s,"faulted"], bytes[s,"faulted"], allocs[s,"faulted"]
 	        }
 	        if (s != "flat") {
 	            for (j = 1; j <= nl; j++) {
