@@ -11,6 +11,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -70,7 +71,7 @@ var goldenCases = []goldenCase{
 // digests catch a change that moves every kernel's results the same way.
 func TestGoldenDigests(t *testing.T) {
 	dir := t.TempDir()
-	bin := buildRocosim(t, dir)
+	bin := buildRocosim(t)
 	want := readGolden(t)
 	got := make(map[string]string, len(goldenCases))
 	for _, gc := range goldenCases {
@@ -103,21 +104,47 @@ func TestGoldenDigests(t *testing.T) {
 	}
 }
 
-// buildRocosim builds the rocosim binary into dir and returns its path.
-func buildRocosim(t *testing.T, dir string) string {
-	t.Helper()
-	bin := filepath.Join(dir, "rocosim")
-	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/rocosim").CombinedOutput(); err != nil {
-		t.Fatalf("building rocosim: %v\n%s", err, out)
+// rocosimBuild is the rocosim binary the tests in this file share: built
+// once per test process, on first use, into a directory TestMain removes.
+var rocosimBuild struct {
+	once     sync.Once
+	dir, bin string
+	err      error
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if rocosimBuild.dir != "" {
+		os.RemoveAll(rocosimBuild.dir)
 	}
-	return bin
+	os.Exit(code)
+}
+
+// buildRocosim returns the path of the shared rocosim binary, building it
+// on the first call.
+func buildRocosim(t *testing.T) string {
+	t.Helper()
+	b := &rocosimBuild
+	b.once.Do(func() {
+		if b.dir, b.err = os.MkdirTemp("", "rocosim-test-"); b.err != nil {
+			return
+		}
+		b.bin = filepath.Join(b.dir, "rocosim")
+		if out, err := exec.Command("go", "build", "-o", b.bin, "./cmd/rocosim").CombinedOutput(); err != nil {
+			b.err = fmt.Errorf("%v\n%s", err, out)
+		}
+	})
+	if b.err != nil {
+		t.Fatalf("building rocosim: %v", b.err)
+	}
+	return b.bin
 }
 
 // TestRocosimRejectsInvalidConfig pins that flag combinations the
 // simulator cannot run end in rocosim's one-line error and exit status 2,
 // not in a Go panic and stack trace from inside the run.
 func TestRocosimRejectsInvalidConfig(t *testing.T) {
-	bin := buildRocosim(t, t.TempDir())
+	bin := buildRocosim(t)
 	for _, args := range []string{
 		"-router roco -topology torus",
 		"-topology multichipmesh -chips 2x2 -chip-size 4x4 -d2d-fault 5:south",

@@ -649,31 +649,6 @@ func (r *Router) allocateSwitch(m Module, cycle int64) {
 	var winner [2][2]int
 	base := int(m) * 2 * VCsPerSet
 
-	// Failed speculation: the parallel SA requests were issued and
-	// arbitrated (energy), but a speculative grant has lower priority than
-	// any real request and never displaces one (Peh-Dally speculation), so
-	// they cannot affect the matching — they are charged as SAOps only.
-	var specByDir [2]uint64
-	for mm := (r.vaFailed >> uint(base)) & modVCMask; mm != 0; mm &= mm - 1 {
-		i := bits.TrailingZeros64(mm)
-		if op := r.vcs[base+i].OutPort(); op.IsCardinal() {
-			specByDir[DirSlot(op)] |= 1 << uint(i)
-		}
-	}
-
-	saReady := (r.Alloc().SAReady() >> uint(base)) & modVCMask
-	if saReady == 0 {
-		// No routed front flit: nothing contends, requests or wins. An
-		// empty round still charges the failed speculation and toggles
-		// the mirror primary; every other arbiter holds still on a zero
-		// request mask.
-		r.act.SAOps += int64(bits.OnesCount64(specByDir[0]) + bits.OnesCount64(specByDir[1]))
-		if !r.disableMirror {
-			r.mirror[m].SkipRounds(1)
-		}
-		return
-	}
-
 	// Figure 3 contention: a crossbar input port requests a direction when
 	// it holds a switch-ready flit for it; the request is contended when
 	// the module's other port wants the same direction this cycle. The
@@ -683,7 +658,7 @@ func (r *Router) allocateSwitch(m Module, cycle int64) {
 	// to evaluate the same predicates a second time.
 	var desire [2][2]bool
 	var readyByDir [2]uint64
-	for mm := saReady; mm != 0; mm &= mm - 1 {
+	for mm := (r.Alloc().SAReady() >> uint(base)) & modVCMask; mm != 0; mm &= mm - 1 {
 		i := bits.TrailingZeros64(mm)
 		vc := r.vcs[base+i]
 		if !vc.FrontReady(cycle) {
@@ -706,6 +681,18 @@ func (r *Router) allocateSwitch(m Module, cycle int64) {
 		}
 		if n > 0 {
 			r.countContention(outsOf(m)[d], n, n > 1)
+		}
+	}
+
+	// Failed speculation: the parallel SA requests were issued and
+	// arbitrated (energy), but a speculative grant has lower priority than
+	// any real request and never displaces one (Peh-Dally speculation), so
+	// they cannot affect the matching — they are charged as SAOps only.
+	var specByDir [2]uint64
+	for mm := (r.vaFailed >> uint(base)) & modVCMask; mm != 0; mm &= mm - 1 {
+		i := bits.TrailingZeros64(mm)
+		if op := r.vcs[base+i].OutPort(); op.IsCardinal() {
+			specByDir[DirSlot(op)] |= 1 << uint(i)
 		}
 	}
 

@@ -18,13 +18,10 @@ import (
 // propagates along the whole wormhole within a cycle and the stranded
 // flits drain instead of wedging the network.
 type BrokenSet struct {
-	ids map[uint64]int64 // packet ID -> cycle first broken
-	// log lists the registered IDs in registration order. It only grows,
-	// so a router that last swept at log position p knows that any of its
-	// unchanged channels whose front packet broke since then holds one of
-	// log[p:] — a short slice to compare against instead of a map lookup
-	// per channel.
-	log []uint64
+	// ids maps packet ID -> cycle first broken. IDs are never removed,
+	// so its length only grows and is the registry half of the sweep
+	// generation.
+	ids map[uint64]int64
 	// faults counts fault installations anywhere in the network. A zero
 	// count and an empty registry together prove the recovery scans
 	// (SweepBroken, doomed drains, ReapOrphans) have nothing to do. The
@@ -43,7 +40,6 @@ func NewBrokenSet() *BrokenSet {
 func (b *BrokenSet) Add(id uint64, cycle int64) {
 	if _, ok := b.ids[id]; !ok {
 		b.ids[id] = cycle
-		b.log = append(b.log, id)
 	}
 }
 
@@ -119,10 +115,9 @@ const orphanAge = 4
 // The scans cost what changed, not how many channels the router has: the
 // sweep visits the channels whose front state changed since the last
 // sweep (plus the other live channels when the broken registry or the
-// fault count moved), and the
-// drain and reap visit the doomed and reap-armed channels, all read off
-// the AllocState masks in ascending channel order, which is the order a
-// full scan visits them in. DisableTickFastPath turns every mask into
+// fault count moved), and the drain and reap visit the doomed and
+// reap-armed channels, all read off the AllocState masks in ascending
+// channel order, which is the order a full scan visits them in. DisableTickFastPath turns every mask into
 // "all channels", so the reference kernel stays the full-scan oracle the
 // gated kernel is checked against.
 type Recovery struct {
@@ -154,10 +149,10 @@ type Recovery struct {
 	// reapArmed is the set of channels whose orphan clock runs
 	// (emptySince >= 0).
 	reapArmed uint64
-	// seenLog and seenFaults are the broken registry's log length and
-	// fault count at the last sweep; seenLog < 0 makes the next sweep
+	// seenBroken and seenFaults are the broken registry's length and
+	// fault count at the last sweep; seenBroken < 0 makes the next sweep
 	// visit every live channel (after construction and snapshot loads).
-	seenLog    int
+	seenBroken int
 	seenFaults uint64
 }
 
@@ -179,7 +174,7 @@ func (rc *Recovery) InitRecovery(node int, vcs []*VC, grantRef func(int) (GrantR
 		rc.emptySince[i] = -1
 	}
 	rc.reapAge = orphanAge
-	rc.seenLog = -1
+	rc.seenBroken = -1
 	for i, vc := range vcs {
 		vc.bindAlloc(&rc.alloc, i)
 		rc.allVCs |= 1 << uint(i)
@@ -349,37 +344,23 @@ func (rc *Recovery) RetireDoomed(cycle int64) {
 // A channel's outcome depends only on its front state, on whether that
 // packet is registered broken, and on its granted channel's liveness, and
 // a visited channel is left in a state whose next visit is a no-op. So
-// the sweep visits the dirty channels (front state changed), and the
-// other live ones only when the registry grew (checked against the new
-// log entries alone) or a fault was installed (which can flip
-// OutVCBook.Alive).
+// the sweep visits the dirty channels (front state changed), and every
+// live one when the generation — the registry's length and the fault
+// count — moved: a new broken ID can doom any unchanged front, and a
+// fault installation can flip OutVCBook.Alive under a grant.
 func (rc *Recovery) SweepBroken(cycle int64, huntDeadGrants bool) {
 	a := &rc.alloc
-	dirty := a.dirty
+	visit := a.dirty & a.live
 	a.dirty = 0
-	visit, recheck := dirty&a.live, uint64(0)
-	var fresh []uint64
-	switch b := rc.broken; {
-	case rc.fullScan || b == nil:
+	if b := rc.broken; rc.fullScan || b == nil {
 		visit = rc.allVCs
-	case rc.seenLog < 0 || rc.seenFaults != b.faults:
+	} else if rc.seenBroken != len(b.ids) || rc.seenFaults != b.faults {
 		visit = a.live
-	case rc.seenLog < len(b.log):
-		fresh = b.log[rc.seenLog:]
-		recheck = a.live &^ a.doomed &^ dirty
-		visit |= recheck
-	}
-	if b := rc.broken; b != nil {
-		rc.seenLog, rc.seenFaults = len(b.log), b.faults
+		rc.seenBroken, rc.seenFaults = len(b.ids), b.faults
 	}
 	for m := visit; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
 		vc := rc.vcs[i]
-		if recheck&(1<<uint(i)) != 0 && !brokeSince(fresh, vc.states[0].packetID, rc.broken) {
-			// An unchanged, undoomed front under an unchanged fault count:
-			// only a freshly broken ID can doom it.
-			continue
-		}
 		st, ok := vc.FrontState()
 		if !ok {
 			continue
@@ -414,20 +395,6 @@ func (rc *Recovery) SweepBroken(cycle int64, huntDeadGrants bool) {
 			vc.CancelFrontGrant()
 		}
 	}
-}
-
-// brokeSince reports whether id is among the fresh registry entries: a
-// short linear compare, falling back to the map for a large batch.
-func brokeSince(fresh []uint64, id uint64, b *BrokenSet) bool {
-	if len(fresh) > 8 {
-		return b.Contains(id)
-	}
-	for _, f := range fresh {
-		if f == id {
-			return true
-		}
-	}
-	return false
 }
 
 // drainDoomed discards the buffered flits of doomed front packets, one

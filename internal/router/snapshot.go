@@ -338,7 +338,7 @@ func (b *BrokenSet) LoadState(d *snapshot.Decoder) {
 		if d.Err() != nil {
 			return
 		}
-		b.Add(id, cycle)
+		b.ids[id] = cycle
 	}
 }
 
@@ -366,5 +366,5 @@ func (rc *Recovery) LoadRecoveryState(d *snapshot.Decoder) {
 		}
 	}
 	rc.severed = d.U8()
-	rc.seenLog = -1
+	rc.seenBroken = -1
 }
